@@ -1,53 +1,8 @@
 #include "pipeline/elrec_trainer.hpp"
 
-#include <atomic>
-#include <exception>
-#include <thread>
-
-#include <cstring>
-
-#include "common/blocking_queue.hpp"
-#include "common/fault_injector.hpp"
-#include "common/serialize.hpp"
-#include "common/stopwatch.hpp"
 #include "embed/embedding_bag.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace elrec {
-
-namespace {
-
-constexpr char kCheckpointTag[4] = {'E', 'L', 'C', '1'};     // null codec
-constexpr char kCheckpointTagV2[4] = {'E', 'L', 'C', '2'};   // + u32 codec id
-
-// Same registry entries as PipelineTrainer: the counters are process-wide
-// and name the stream, not the trainer.
-struct ElrecByteCounters {
-  obs::Counter& grad_push;
-  obs::Counter& host_push;
-  obs::Counter& host_pull;
-};
-
-ElrecByteCounters& elrec_byte_counters() {
-  auto& reg = obs::MetricsRegistry::global();
-  static ElrecByteCounters c{reg.counter("pipeline.bytes.grad_push"),
-                             reg.counter("pipeline.bytes.host_push"),
-                             reg.counter("pipeline.bytes.host_pull")};
-  return c;
-}
-
-std::string describe_exception(const std::exception_ptr& ep) {
-  try {
-    std::rethrow_exception(ep);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown error";
-  }
-}
-
-}  // namespace
 
 std::vector<TablePlacement> default_placement(const DatasetSpec& spec,
                                               index_t tt_threshold,
@@ -66,62 +21,55 @@ std::vector<TablePlacement> default_placement(const DatasetSpec& spec,
   return placement;
 }
 
-void HostTableClient::install(std::vector<index_t> unique, Matrix rows) {
+void HostTableClient::install(const std::vector<index_t>& unique,
+                              const Matrix& rows, Matrix& grads) {
   ELREC_CHECK(rows.rows() == static_cast<index_t>(unique.size()) &&
                   rows.cols() == dim_,
               "installed rows shape mismatch");
-  unique_ = std::move(unique);
-  rows_ = std::move(rows);
+  unique_ = &unique;
+  rows_ = &rows;
+  grads_ = &grads;
 }
 
 void HostTableClient::forward(const IndexBatch& batch, Matrix& out) {
+  ELREC_CHECK(rows_ != nullptr, "HostTableClient used before install()");
   batch.validate(num_rows_);
   // Map batch positions onto the installed unique rows.
+  const std::vector<index_t>& unique = *unique_;
   occurrence_.resize(batch.indices.size());
   for (std::size_t i = 0; i < batch.indices.size(); ++i) {
     const auto it =
-        std::lower_bound(unique_.begin(), unique_.end(), batch.indices[i]);
-    ELREC_CHECK(it != unique_.end() && *it == batch.indices[i],
+        std::lower_bound(unique.begin(), unique.end(), batch.indices[i]);
+    ELREC_CHECK(it != unique.end() && *it == batch.indices[i],
                 "batch index missing from installed prefetch rows");
-    occurrence_[i] = static_cast<index_t>(it - unique_.begin());
+    occurrence_[i] = static_cast<index_t>(it - unique.begin());
   }
   const index_t b = batch.batch_size();
   out.resize(b, dim_);
   for (index_t s = 0; s < b; ++s) {
     float* dst = out.row(s);
     for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
-      const float* src = rows_.row(occurrence_[static_cast<std::size_t>(p)]);
+      const float* src = rows_->row(occurrence_[static_cast<std::size_t>(p)]);
       for (index_t j = 0; j < dim_; ++j) dst[j] += src[j];
     }
   }
 }
 
 void HostTableClient::backward_and_update(const IndexBatch& batch,
-                                          const Matrix& grad_out, float lr) {
+                                          const Matrix& grad_out,
+                                          float /*lr*/) {
+  ELREC_CHECK(grads_ != nullptr, "HostTableClient used before install()");
   ELREC_CHECK(grad_out.rows() == batch.batch_size() && grad_out.cols() == dim_,
               "grad_out shape mismatch");
-  grads_.resize(static_cast<index_t>(unique_.size()), dim_);
-  grads_.set_zero();
+  Matrix& grads = *grads_;
+  grads.resize(static_cast<index_t>(unique_->size()), dim_);
+  grads.set_zero();
   for (index_t s = 0; s < batch.batch_size(); ++s) {
     const float* g = grad_out.row(s);
     for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
-      float* dst = grads_.row(occurrence_[static_cast<std::size_t>(p)]);
+      float* dst = grads.row(occurrence_[static_cast<std::size_t>(p)]);
       for (index_t j = 0; j < dim_; ++j) dst[j] += g[j];
     }
-  }
-  // Worker-side view of the post-update rows (for the embedding cache).
-  apply_decoded_update(grads_, lr);
-}
-
-void HostTableClient::apply_decoded_update(const Matrix& grads, float lr) {
-  ELREC_CHECK(grads.rows() == rows_.rows() && grads.cols() == rows_.cols(),
-              "decoded gradient shape mismatch");
-  updated_.resize(rows_.rows(), rows_.cols());
-  for (index_t i = 0; i < rows_.rows(); ++i) {
-    const float* r = rows_.row(i);
-    const float* g = grads.row(i);
-    float* u = updated_.row(i);
-    for (index_t j = 0; j < dim_; ++j) u[j] = r[j] - lr * g[j];
   }
 }
 
@@ -165,393 +113,55 @@ std::size_t ElRecTrainer::device_embedding_bytes() const {
   return model_->embedding_bytes();  // HostTableClient reports 0
 }
 
-void ElRecTrainer::save_checkpoint(index_t next_batch) {
-  write_checkpoint_atomic(config_.checkpoint_path, [&](BinaryWriter& w) {
-    if (config_.codec.id == CodecId::kNull) {
-      w.write_tag(kCheckpointTag);  // legacy byte-identical format
-    } else {
-      w.write_tag(kCheckpointTagV2);
-      w.write_pod(static_cast<std::uint32_t>(config_.codec.id));
-    }
-    w.write_i64(next_batch);
-    std::uint64_t count = 0;
-    model_->visit_parameters([&](float*, std::size_t) { ++count; });
-    w.write_u64(count);
-    model_->visit_parameters(
-        [&](float* p, std::size_t n) { w.write_array(p, n); });
-    w.write_u64(host_stores_.size());
-    for (const auto& store : host_stores_) {
-      w.write_i64(store->num_rows());
-      w.write_i64(store->dim());
-      w.write_array(store->weights().data(),
-                    static_cast<std::size_t>(store->weights().size()));
-    }
-  });
+PipelineTrainer ElRecTrainer::runtime() {
+  std::vector<HostEmbeddingStore*> stores;
+  for (const auto& store : host_stores_) stores.push_back(store.get());
+  return PipelineTrainer(std::move(stores), config_,
+                         [this](const ParameterVisitor& visit) {
+                           model_->visit_parameters(visit);
+                         });
 }
 
 index_t ElRecTrainer::resume(const std::string& path) {
-  BinaryReader r(path);
-  char tag[4];
-  for (char& c : tag) c = r.read_pod<char>();
-  CodecId saved = CodecId::kNull;
-  if (std::memcmp(tag, kCheckpointTagV2, 4) == 0) {
-    saved = static_cast<CodecId>(r.read_pod<std::uint32_t>());
-  } else {
-    ELREC_CHECK(std::memcmp(tag, kCheckpointTag, 4) == 0,
-                "unrecognized trainer checkpoint tag");
-  }
-  if (saved != config_.codec.id) {
-    throw PipelineError(
-        "resume", -1,
-        "checkpoint '" + path + "' was written under codec '" +
-            codec_name(saved) + "' but this trainer uses '" +
-            codec_name(config_.codec.id) + "' — refusing to resume across "
-            "codecs");
-  }
-  const index_t next_batch = r.read_i64();
-  std::uint64_t count = 0;
-  model_->visit_parameters([&](float*, std::size_t) { ++count; });
-  const std::uint64_t stored = r.read_u64();
-  ELREC_CHECK(stored == count,
-              "checkpoint buffer count mismatch — different trainer config");
-  model_->visit_parameters([&](float* p, std::size_t n) {
-    const auto values = r.read_vector<float>();
-    ELREC_CHECK(values.size() == n, "checkpoint buffer size mismatch");
-    std::copy(values.begin(), values.end(), p);
-  });
-  const std::uint64_t num_host = r.read_u64();
-  ELREC_CHECK(num_host == host_stores_.size(),
-              "checkpoint host-store count mismatch");
-  for (auto& store : host_stores_) {
-    const index_t rows = r.read_i64();
-    const index_t dim = r.read_i64();
-    ELREC_CHECK(rows == store->num_rows() && dim == store->dim(),
-                "checkpoint host-store shape mismatch");
-    const auto values = r.read_vector<float>();
-    ELREC_CHECK(static_cast<index_t>(values.size()) == rows * dim,
-                "checkpoint host-store payload size mismatch");
-    Matrix weights(rows, dim);
-    std::copy(values.begin(), values.end(), weights.data());
-    store->load_weights(weights);
-  }
-  r.expect_footer();
-  return next_batch;
+  return runtime().resume(path);
 }
 
 ElRecRunStats ElRecTrainer::train(SyntheticDataset& data, index_t num_batches,
                                   index_t batch_size, index_t start_batch) {
-  ELREC_CHECK(start_batch >= 0 && start_batch <= num_batches,
-              "start_batch out of range");
-  ELREC_CHECK(config_.checkpoint_every_n == 0 ||
-                  !config_.checkpoint_path.empty(),
-              "checkpoint_every_n requires a checkpoint_path");
   ElRecRunStats stats;
-  const auto capacity = static_cast<std::size_t>(config_.queue_capacity);
-  BlockingQueue<Prefetched> prefetch_queue(capacity);
-  BlockingQueue<GradUnit> gradient_queue(capacity);
-  std::atomic<index_t> applied_batch_id{-1};
-
-  // Set by the server before it closes the queues on failure; the queue
-  // mutex orders the write against the worker observing the close.
-  struct ThreadFailure {
-    std::exception_ptr error;
-    index_t batch_id = -1;
+  // Server thread: load the batch and list the rows each host table reads.
+  const BatchSource source = [&](index_t, MiniBatch& batch,
+                                 std::vector<std::vector<index_t>>& unique) {
+    batch = data.next_batch(batch_size);
+    for (std::size_t t = 0; t < host_slot_of_table_.size(); ++t) {
+      const std::size_t h = host_slot_of_table_[t];
+      if (h == static_cast<std::size_t>(-1)) continue;
+      unique[h] = build_unique_index_map(batch.sparse[t].indices).unique;
+    }
   };
-  ThreadFailure server_failure;
-
-  const std::size_t num_host = host_stores_.size();
-  Stopwatch wall;
-
-  // Queue traffic accounting, merged into stats after the threads join.
-  std::atomic<std::uint64_t> encoded_bytes{0};
-  std::atomic<std::uint64_t> raw_bytes{0};
-  auto count_stream = [&](obs::Counter& counter, const EncodedBlob& blob,
-                          std::uint64_t raw) {
-    counter.add(blob.size());
-    encoded_bytes.fetch_add(blob.size(), std::memory_order_relaxed);
-    raw_bytes.fetch_add(raw, std::memory_order_relaxed);
-  };
-
-  // ---- Server thread: data loading + parameter service ---------------
-  std::thread server([&] {
-    index_t current_batch = -1;
-    try {
-      index_t prefetched = start_batch;
-      index_t applied = start_batch;
-      // One codec instance per host-table pull stream (encode is stateful;
-      // each table's parameter scale adapts its own bound).
-      std::vector<std::unique_ptr<IGradCodec>> pull_codecs;
-      for (std::size_t h = 0; h < num_host; ++h) {
-        pull_codecs.push_back(make_codec(config_.codec));
-      }
-      Matrix pulled;
-      Matrix decoded_grads;
-
-      auto apply = [&](GradUnit& push) {
-        current_batch = push.batch_id;
-        TRACE_SPAN("elrec.host_push");
-        for (std::size_t h = 0; h < num_host; ++h) {
-          count_stream(elrec_byte_counters().host_push, push.grads[h],
-                       push.indices[h].size() *
-                           static_cast<std::uint64_t>(host_stores_[h]->dim()) *
-                           sizeof(float));
-          decode_blob(push.grads[h], decoded_grads);
-          with_retry(config_.host_retry, "host-store push", [&] {
-            host_stores_[h]->apply_gradients(push.indices[h], decoded_grads,
-                                             config_.lr);
-          });
-        }
-        applied_batch_id.store(push.batch_id, std::memory_order_release);
-        ++applied;
-      };
-
-      while (applied < num_batches) {
-        ELREC_FAULT_POINT("pipeline.server_tick");
-        while (auto push = gradient_queue.try_pop()) apply(*push);
-        if (prefetched < num_batches) {
-          current_batch = prefetched;
-          Prefetched pf;
-          pf.batch_id = prefetched;
-          {
-            TRACE_SPAN("elrec.host_pull");
-            pf.batch = data.next_batch(batch_size);
-            pf.host_unique.resize(num_host);
-            pf.host_rows.resize(num_host);
-            for (std::size_t t = 0; t < host_slot_of_table_.size(); ++t) {
-              const std::size_t h = host_slot_of_table_[t];
-              if (h == static_cast<std::size_t>(-1)) continue;
-              const auto umap =
-                  build_unique_index_map(pf.batch.sparse[t].indices);
-              pf.host_unique[h] = umap.unique;
-              with_retry(config_.host_retry, "host-store pull", [&] {
-                host_stores_[h]->pull(pf.host_unique[h], pulled);
-              });
-              pull_codecs[h]->encode(pulled, pf.host_rows[h]);
-              count_stream(
-                  elrec_byte_counters().host_pull, pf.host_rows[h],
-                  static_cast<std::uint64_t>(pulled.size()) * sizeof(float));
-            }
+  // Worker: DLRM forward/backward. Device tables (dense + Eff-TT) update in
+  // place; host clients read the synchronized rows and write the gradients
+  // the runtime pushes to the host.
+  const ComputeStep compute =
+      [&](index_t, const MiniBatch& batch,
+          const std::vector<std::vector<index_t>>& unique,
+          const std::vector<Matrix>& rows, std::vector<Matrix>& grads) {
+        // The bound tensors belong to the runtime; unbind on every exit.
+        struct Uninstall {
+          const std::vector<HostTableClient*>& clients;
+          ~Uninstall() {
+            for (HostTableClient* c : clients) c->uninstall();
           }
-          ++prefetched;
-          // Bounded push with gradient drains in between: a worker stalled
-          // at its checkpoint barrier (waiting for gradients to be applied)
-          // must not deadlock against a full prefetch queue.
-          for (;;) {
-            const QueueOpStatus st =
-                prefetch_queue.try_push_for(pf, std::chrono::milliseconds(5));
-            if (st == QueueOpStatus::kClosed) return;
-            if (st == QueueOpStatus::kOk) break;
-            while (auto push = gradient_queue.try_pop()) apply(*push);
-          }
-        } else if (applied < num_batches) {
-          auto push = gradient_queue.pop();
-          if (!push) return;
-          apply(*push);
+        } uninstall{host_clients_};
+        for (std::size_t h = 0; h < host_clients_.size(); ++h) {
+          host_clients_[h]->install(unique[h], rows[h], grads[h]);
         }
-      }
-      prefetch_queue.close();
-    } catch (...) {
-      server_failure.error = std::current_exception();
-      server_failure.batch_id = current_batch;
-      prefetch_queue.close();
-      gradient_queue.close();
-    }
-  });
-
-  // Shutdown protocol: close both queues, join the server, then drain any
-  // in-flight gradients into the stores so every successfully computed
-  // batch is durable. Safe to call on every exit path.
-  auto quiesce = [&] {
-    prefetch_queue.close();
-    gradient_queue.close();
-    if (server.joinable()) server.join();
-    Matrix drained;
-    while (auto push = gradient_queue.try_pop()) {
-      try {
-        for (std::size_t h = 0; h < num_host; ++h) {
-          decode_blob(push->grads[h], drained);
-          with_retry(config_.host_retry, "host-store push (drain)", [&] {
-            host_stores_[h]->apply_gradients(push->indices[h], drained,
-                                             config_.lr);
-          });
-        }
-      } catch (...) {
-        break;  // store unusable; the remaining gradients are lost anyway
-      }
-    }
-  };
-
-  auto raise = [&](const char* stage, index_t batch_id,
-                   const std::exception_ptr& cause) {
-    quiesce();
-    if (server_failure.error && cause != server_failure.error) {
-      throw PipelineError("server", server_failure.batch_id,
-                          describe_exception(server_failure.error));
-    }
-    throw PipelineError(stage, batch_id, describe_exception(cause));
-  };
-
-  // Blocks until the server has absorbed every gradient up to and including
-  // `b` — the quiescent point a consistent checkpoint needs (the worker is
-  // the only gradient producer, so nothing new arrives while we wait).
-  auto wait_until_applied = [&](index_t b) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (applied_batch_id.load(std::memory_order_acquire) < b) {
-      ELREC_CHECK(!gradient_queue.closed(), "server died before checkpoint");
-      ELREC_CHECK(std::chrono::steady_clock::now() < deadline,
-                  "timed out waiting for gradient absorption at checkpoint");
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  };
-
-  // ---- Worker: DLRM forward/backward ---------------------------------
-  std::vector<EmbeddingCache> caches;
-  caches.reserve(num_host);
-  for (std::size_t h = 0; h < num_host; ++h) {
-    caches.emplace_back(config_.model.embedding_dim,
-                        config_.queue_capacity + 1, config_.codec);
-  }
-  // One codec instance per host-table gradient stream, plus scratch for
-  // the decode sides.
-  std::vector<std::unique_ptr<IGradCodec>> grad_codecs;
-  for (std::size_t h = 0; h < num_host; ++h) {
-    grad_codecs.push_back(make_codec(config_.codec));
-  }
-  const bool lossless = config_.codec.lossless();
-  Matrix decoded_rows;
-  Matrix grads_seen_by_host;
-
-  for (index_t b = start_batch; b < num_batches; ++b) {
-    Prefetched pf;
-    TRACE_SPAN("elrec.batch");
-    {
-      TRACE_SPAN("elrec.prefetch_wait");
-      if (config_.queue_timeout.count() > 0) {
-        const QueueOpStatus st =
-            prefetch_queue.try_pop_for(pf, config_.queue_timeout);
-        if (st == QueueOpStatus::kTimeout) {
-          raise("worker", b,
-                std::make_exception_ptr(Error(
-                    "timed out waiting for a prefetched batch — server "
-                    "stalled?")));
-        }
-        if (st == QueueOpStatus::kClosed) {
-          raise("worker", b,
-                std::make_exception_ptr(Error("prefetch queue closed early")));
-        }
-      } else {
-        auto popped = prefetch_queue.pop();
-        if (!popped) {
-          raise("worker", b,
-                std::make_exception_ptr(Error("prefetch queue closed early")));
-        }
-        pf = std::move(*popped);
-      }
-    }
-
-    GradUnit push;
-    try {
-      // Step 1: decode the prefetched host rows and synchronize them
-      // against the caches.
-      {
-        TRACE_SPAN("elrec.cache_sync");
-        for (std::size_t h = 0; h < num_host; ++h) {
-          decode_blob(pf.host_rows[h], decoded_rows);
-          if (config_.use_embedding_cache) {
-            stats.rows_patched +=
-                caches[h].sync(pf.host_unique[h], decoded_rows);
-          }
-          host_clients_[h]->install(pf.host_unique[h],
-                                    std::move(decoded_rows));
-        }
-      }
-
-      // Device-side forward/backward; device tables (dense + Eff-TT) update
-      // in place, host clients capture gradients.
-      {
-        TRACE_SPAN("elrec.compute");
-        ELREC_FAULT_POINT("elrec.compute");
-        const float loss = model_->train_step(pf.batch, config_.lr);
+        const float loss = model_->train_step(batch, config_.lr);
         stats.loss_curve.push_back(loss);
         stats.final_loss = loss;
-      }
-
-      // Step 3: encode and push host-table gradients; refresh the caches
-      // with the update the host will actually apply (the codec round trip
-      // of the gradients, when lossy).
-      TRACE_SPAN("elrec.cache_update");
-      push.batch_id = pf.batch_id;
-      push.indices.resize(num_host);
-      push.grads.resize(num_host);
-      for (std::size_t h = 0; h < num_host; ++h) {
-        push.indices[h] = host_clients_[h]->captured_indices();
-        grad_codecs[h]->encode(host_clients_[h]->captured_grads(),
-                               push.grads[h]);
-        count_stream(elrec_byte_counters().grad_push, push.grads[h],
-                     static_cast<std::uint64_t>(
-                         host_clients_[h]->captured_grads().size()) *
-                         sizeof(float));
-        if (config_.use_embedding_cache) {
-          if (!lossless) {
-            decode_blob(push.grads[h], grads_seen_by_host);
-            host_clients_[h]->apply_decoded_update(grads_seen_by_host,
-                                                   config_.lr);
-          }
-          caches[h].insert(push.indices[h], host_clients_[h]->updated_rows(),
-                           pf.batch_id);
-          caches[h].retire_batch(
-              applied_batch_id.load(std::memory_order_acquire));
-        }
-      }
-    } catch (...) {
-      raise("worker", pf.batch_id, std::current_exception());
-    }
-
-    {
-      TRACE_SPAN("elrec.grad_push");
-      if (config_.queue_timeout.count() > 0) {
-        const QueueOpStatus st =
-            gradient_queue.try_push_for(push, config_.queue_timeout);
-        if (st == QueueOpStatus::kTimeout) {
-          raise("worker", pf.batch_id,
-                std::make_exception_ptr(
-                    Error("timed out pushing gradients — server stalled?")));
-        }
-        if (st == QueueOpStatus::kClosed) {
-          raise("worker", pf.batch_id,
-                std::make_exception_ptr(Error("gradient queue closed early")));
-        }
-      } else if (!gradient_queue.push(std::move(push))) {
-        raise("worker", pf.batch_id,
-              std::make_exception_ptr(Error("gradient queue closed early")));
-      }
-    }
-    ++stats.batches;
-
-    if (config_.checkpoint_every_n > 0 &&
-        (b + 1) % config_.checkpoint_every_n == 0) {
-      try {
-        TRACE_SPAN("elrec.checkpoint");
-        wait_until_applied(b);
-        save_checkpoint(b + 1);
-        ++stats.checkpoints_written;
-      } catch (...) {
-        raise("checkpoint", b, std::current_exception());
-      }
-    }
-  }
-  server.join();
-  if (server_failure.error) {
-    raise("server", server_failure.batch_id, server_failure.error);
-  }
-
-  for (auto& cache : caches) {
-    stats.cache_peak = std::max(stats.cache_peak, cache.peak_size());
-  }
-  stats.wall_seconds = wall.seconds();
-  stats.encoded_queue_bytes = encoded_bytes.load(std::memory_order_relaxed);
-  stats.raw_queue_bytes = raw_bytes.load(std::memory_order_relaxed);
+      };
+  static_cast<PipelineStats&>(stats) =
+      runtime().run(num_batches, source, compute, start_batch);
   return stats;
 }
 

@@ -1,21 +1,21 @@
 // EL-Rec end-to-end training system (paper Fig. 9).
 //
 // Assembles the full design: Eff-TT tables (and small dense tables) live on
-// the "device" (worker), oversized tables live in the HostEmbeddingStore
-// behind a prefetch/gradient queue pair, and an EmbeddingCache per host
-// table repairs the pipeline RAW hazard. The server thread doubles as the
-// data loader; the worker thread runs DLRM forward/backward.
+// the "device" (worker), oversized tables live in HostEmbeddingStores, and a
+// HostTableClient stands in for each of them inside the DLRM. Training runs
+// on PipelineTrainer: its server thread loads data and serves the host
+// tables through the queues and embedding caches, and its worker runs the
+// DLRM forward/backward. This class only supplies the two callbacks — the
+// batch source and the DLRM compute step — plus the model parameters that
+// checkpoints carry alongside the host stores.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
-#include "common/retry.hpp"
 #include "core/eff_tt_table.hpp"
 #include "data/synthetic.hpp"
 #include "dlrm/dlrm_model.hpp"
-#include "pipeline/embedding_cache.hpp"
 #include "pipeline/host_embedding_store.hpp"
 #include "pipeline/pipeline_error.hpp"
 #include "pipeline/pipeline_trainer.hpp"
@@ -29,29 +29,13 @@ enum class TablePlacement {
   kHost,         // parameter-server resident, pipelined
 };
 
-struct ElRecTrainerConfig {
+// The runtime settings (queue depth — 1 == EL-Rec (Sequential) of Fig. 16 —
+// lr, cache, retry, deadlines, checkpoints, codec) come from PipelineConfig.
+struct ElRecTrainerConfig : PipelineConfig {
   DlrmConfig model;
   std::vector<TablePlacement> placement;  // one per table
   index_t tt_rank = 16;
-  index_t queue_capacity = 4;   // 1 == EL-Rec (Sequential) of Fig. 16
-  bool use_embedding_cache = true;
-  float lr = 0.05f;
   std::uint64_t seed = 1;
-
-  // Bounded retry + backoff for transient host-store pull/push faults.
-  RetryPolicy host_retry;
-  // Deadline for each queue wait; 0 = wait forever.
-  std::chrono::milliseconds queue_timeout{0};
-  // Every n batches the worker writes a crash-safe checkpoint of the model
-  // plus every host store to checkpoint_path (0 = off).
-  index_t checkpoint_every_n = 0;
-  std::string checkpoint_path;
-
-  // Codec for the host-table queue streams (prefetched rows + pushed
-  // gradients). Null (default) keeps the run bitwise-identical to the
-  // uncompressed trainer; checkpoints record the codec id and resume()
-  // refuses a checkpoint written under a different codec.
-  CodecConfig codec;
 };
 
 /// Chooses placements the way the paper does: tables above `tt_threshold`
@@ -61,9 +45,10 @@ std::vector<TablePlacement> default_placement(const DatasetSpec& spec,
                                               index_t tt_threshold,
                                               index_t host_threshold);
 
-/// Host-resident table seen from the worker: forward pools from rows the
-/// pipeline installed; backward captures aggregated gradients for the
-/// gradient queue instead of updating locally.
+/// Host-resident table seen from the worker: forward pools from the rows
+/// the pipeline installed; backward writes the aggregated per-row gradients
+/// to the installed output (the host applies the update) instead of
+/// updating locally.
 class HostTableClient final : public IEmbeddingTable {
  public:
   HostTableClient(index_t num_rows, index_t dim)
@@ -72,9 +57,18 @@ class HostTableClient final : public IEmbeddingTable {
   index_t num_rows() const override { return num_rows_; }
   index_t dim() const override { return dim_; }
 
-  /// Called by the trainer before forward: the synchronized parameter rows
-  /// for this batch's unique indices.
-  void install(std::vector<index_t> unique, Matrix rows);
+  /// Called by the trainer before forward: binds this batch's sorted unique
+  /// indices, their synchronized parameter rows, and the gradient output
+  /// (resized to one row per index by backward). Nothing is copied, so all
+  /// three must outlive the forward/backward pass that follows.
+  void install(const std::vector<index_t>& unique, const Matrix& rows,
+               Matrix& grads);
+  /// Drops the binding; forward/backward then throw until the next install.
+  void uninstall() {
+    unique_ = nullptr;
+    rows_ = nullptr;
+    grads_ = nullptr;
+  }
 
   void forward(const IndexBatch& batch, Matrix& out) override;
   void backward_and_update(const IndexBatch& batch, const Matrix& grad_out,
@@ -87,39 +81,18 @@ class HostTableClient final : public IEmbeddingTable {
     // Parameters live in the HostEmbeddingStore; nothing worker-resident.
   }
 
-  const std::vector<index_t>& captured_indices() const { return unique_; }
-  const Matrix& captured_grads() const { return grads_; }
-  /// Post-update row values (rows - lr * grads) for the embedding cache.
-  const Matrix& updated_rows() const { return updated_; }
-
-  /// Recomputes updated_rows() from the installed rows and `grads` — the
-  /// gradients as the host will see them after a lossy codec round trip —
-  /// so the worker's cache tracks the host store, not the exact gradients
-  /// that were never sent.
-  void apply_decoded_update(const Matrix& grads, float lr);
-
  private:
   index_t num_rows_;
   index_t dim_;
-  std::vector<index_t> unique_;
+  const std::vector<index_t>* unique_ = nullptr;
+  const Matrix* rows_ = nullptr;
+  Matrix* grads_ = nullptr;
   std::vector<index_t> occurrence_;  // per batch position
-  Matrix rows_;
-  Matrix grads_;
-  Matrix updated_;
 };
 
-struct ElRecRunStats {
-  index_t batches = 0;
-  double wall_seconds = 0.0;
+struct ElRecRunStats : PipelineStats {
   double final_loss = 0.0;
   std::vector<float> loss_curve;
-  index_t rows_patched = 0;   // RAW repairs performed by the caches
-  std::size_t cache_peak = 0;
-  index_t checkpoints_written = 0;
-  // Encoded bytes that crossed the queues this run, and the raw fp32 cost
-  // of the same tensors (bytes-on-queue reduction = raw / encoded).
-  std::uint64_t encoded_queue_bytes = 0;
-  std::uint64_t raw_queue_bytes = 0;
 };
 
 class ElRecTrainer {
@@ -146,22 +119,9 @@ class ElRecTrainer {
   std::size_t device_embedding_bytes() const;
 
  private:
-  // One prefetched unit traveling through the queue. Tensor payloads cross
-  // the queues encoded; the null codec makes the round trip bitwise-exact.
-  struct Prefetched {
-    index_t batch_id = 0;
-    MiniBatch batch;
-    std::vector<std::vector<index_t>> host_unique;  // per host table
-    std::vector<EncodedBlob> host_rows;
-  };
-  struct GradUnit {
-    index_t batch_id = 0;
-    std::vector<std::vector<index_t>> indices;
-    std::vector<EncodedBlob> grads;
-  };
-
-  /// Atomically persists model parameters + host stores + `next_batch`.
-  void save_checkpoint(index_t next_batch);
+  /// The pipeline runtime over this trainer's host stores, checkpointing
+  /// the model parameters alongside them.
+  PipelineTrainer runtime();
 
   ElRecTrainerConfig config_;
   std::vector<std::size_t> host_slot_of_table_;  // table -> host index or npos

@@ -1,10 +1,10 @@
 // Structured failure report for the pipeline training system.
 //
-// Any thread failure inside PipelineTrainer / ElRecTrainer is funneled into
-// a PipelineError after the shutdown protocol has run (queues closed, server
-// joined, in-flight gradients drained), so a caller that catches it holds a
-// quiesced trainer and a consistent host store, and knows which batch and
-// which stage failed.
+// Any thread failure inside PipelineTrainer (which ElRecTrainer runs on) is
+// funneled into a PipelineError after the shutdown protocol has run (queues
+// closed, server joined, in-flight gradients drained), so a caller that
+// catches it holds a quiesced trainer and a consistent host store, and knows
+// which batch and which stage failed.
 #pragma once
 
 #include <string>

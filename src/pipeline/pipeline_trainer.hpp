@@ -1,49 +1,39 @@
-// Generic pipelined parameter-server training loop (§V-A, Fig. 9/10a).
+// The pipelined parameter-server training runtime (§V-A, Fig. 9/10).
 //
-// A server thread pre-fetches embedding rows for upcoming batches from the
-// HostEmbeddingStore into a bounded Pre-fetch Queue and drains a Gradient
-// Queue back into the store, while the worker (caller thread) consumes
-// prefetched batches, synchronizes them against the EmbeddingCache, runs a
-// user-supplied compute step, and pushes gradients. The compute step is a
-// callback so both unit tests (analytic gradients with a sequential oracle)
-// and the full DLRM trainer reuse the same runtime.
+// A server thread runs the batch source (it doubles as the data loader),
+// pre-fetches the rows each upcoming batch reads from N HostEmbeddingStores
+// into a bounded Pre-fetch Queue, and drains a Gradient Queue back into the
+// stores. The worker (caller thread) consumes prefetched batches,
+// synchronizes each store's rows against that store's EmbeddingCache, runs
+// the compute step, refreshes the caches with the update the host will
+// apply, and pushes the gradients. This is the only pipelined training loop:
+// ElRecTrainer runs it with a DLRM step, and the tests run it with analytic
+// gradients against a sequential oracle.
 //
 // Fault tolerance: any thread failure runs the shutdown protocol — both
 // queues close, the server is joined, in-flight gradients are drained into
-// the store — and surfaces as a PipelineError naming the stage and batch.
+// the stores — and surfaces as a PipelineError naming the stage and batch.
 // Transient host-store faults are retried with exponential backoff; an
 // optional queue deadline converts a stalled peer into a diagnosed error
-// instead of a deadlock; periodic crash-safe checkpoints enable resume().
+// instead of a deadlock. Periodic crash-safe checkpoints are cut by the
+// worker at a barrier (every gradient up to the checkpoint batch applied),
+// so they hold the worker-owned parameters as well as the stores, and
+// resume() continues from the last one.
 #pragma once
 
 #include <chrono>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "codec/grad_codec.hpp"
-#include "common/blocking_queue.hpp"
 #include "common/retry.hpp"
-#include "pipeline/embedding_cache.hpp"
+#include "embed/minibatch.hpp"
 #include "pipeline/host_embedding_store.hpp"
+#include "pipeline/pipeline_checkpoint.hpp"
 #include "pipeline/pipeline_error.hpp"
 
 namespace elrec {
-
-// Both queues carry encoded blobs, not raw matrices: every byte crossing a
-// queue goes through the configured codec. Under the (default) null codec
-// the blob is a raw fp32 payload, so the decoded tensors — and hence the
-// whole run — are bitwise-identical to the pre-codec pipeline.
-struct PrefetchedBatch {
-  index_t batch_id = 0;
-  std::vector<index_t> indices;  // unique rows of this batch
-  EncodedBlob rows;              // encoded pulled parameters, row per index
-};
-
-struct GradientPush {
-  index_t batch_id = 0;
-  std::vector<index_t> indices;
-  EncodedBlob grads;  // encoded aggregated per-unique-index gradients
-};
 
 struct PipelineConfig {
   index_t queue_capacity = 4;  // depth of both queues; 1 == sequential mode
@@ -53,13 +43,14 @@ struct PipelineConfig {
   // Bounded retry + backoff for transient host-store pull/push faults.
   RetryPolicy host_retry;
 
-  // Deadline for each queue wait; 0 = wait forever. With a deadline set, a
-  // stalled peer (e.g. a wedged server) yields a PipelineError instead of
-  // blocking run() indefinitely.
+  // Deadline for each worker wait — both queues and the checkpoint
+  // barrier; 0 = wait forever. With a deadline set, a stalled peer (e.g. a
+  // wedged server) yields a PipelineError instead of blocking run()
+  // indefinitely.
   std::chrono::milliseconds queue_timeout{0};
 
-  // Every n applied batches the server writes a crash-safe checkpoint of
-  // the host store to checkpoint_path (0 = off).
+  // Every n batches the worker writes a crash-safe checkpoint of the
+  // worker parameters plus every host store to checkpoint_path (0 = off).
   index_t checkpoint_every_n = 0;
   std::string checkpoint_path;
 
@@ -72,10 +63,9 @@ struct PipelineConfig {
 
 struct PipelineStats {
   index_t batches = 0;
-  index_t rows_patched = 0;      // cache sync hits
-  std::size_t cache_peak = 0;    // max cache entries (LC bound check)
+  index_t rows_patched = 0;      // cache sync hits, all stores
+  std::size_t cache_peak = 0;    // max entries of any store's cache (LC bound)
   index_t checkpoints_written = 0;
-  double worker_seconds = 0.0;
   double wall_seconds = 0.0;
   // Bytes that crossed the queues this run (encoded), and what the same
   // tensors would have cost raw — the bench's bytes-on-queue reduction.
@@ -83,32 +73,45 @@ struct PipelineStats {
   std::uint64_t raw_queue_bytes = 0;
 };
 
-/// Computes per-unique-row gradients for one batch: given the (synchronized)
-/// parameter rows, fill `grads` with dL/d(row).
-using ComputeStep = std::function<void(index_t batch_id,
-                                       const std::vector<index_t>& indices,
-                                       const Matrix& rows, Matrix& grads)>;
+/// Server side, called once per batch in batch order: fills the payload
+/// handed to the compute step and `unique[s]`, the rows batch `batch_id`
+/// reads from store s (`unique` arrives with one empty list per store).
+using BatchSource =
+    std::function<void(index_t batch_id, MiniBatch& batch,
+                       std::vector<std::vector<index_t>>& unique)>;
+
+/// Worker side: given the payload and, per store, the unique rows and their
+/// synchronized parameter values, fills `grads[s]` with dL/d(row) for every
+/// row of store s.
+using ComputeStep = std::function<void(
+    index_t batch_id, const MiniBatch& batch,
+    const std::vector<std::vector<index_t>>& unique,
+    const std::vector<Matrix>& rows, std::vector<Matrix>& grads)>;
 
 class PipelineTrainer {
  public:
-  PipelineTrainer(HostEmbeddingStore& store, PipelineConfig config);
+  /// `stores` are borrowed and must outlive the trainer. `worker_params`
+  /// walks the parameters the compute step owns, so checkpoints hold them.
+  PipelineTrainer(std::vector<HostEmbeddingStore*> stores,
+                  PipelineConfig config, ParameterWalk worker_params = {});
 
-  /// Runs the pipeline over `batches` (each a list of unique row indices),
-  /// starting at `start_batch` (use the value resume() returned to continue
-  /// an interrupted run). Blocks until every gradient has been applied to
-  /// the host store. Throws PipelineError on any thread failure, after the
-  /// shutdown protocol has quiesced the pipeline.
-  PipelineStats run(const std::vector<std::vector<index_t>>& batches,
+  /// Runs batches [start_batch, num_batches) (pass the value resume()
+  /// returned as start_batch to continue an interrupted run). Blocks until
+  /// every gradient has been applied to the stores. Throws PipelineError on
+  /// any thread failure, after the shutdown protocol has quiesced the
+  /// pipeline.
+  PipelineStats run(index_t num_batches, const BatchSource& source,
                     const ComputeStep& compute, index_t start_batch = 0);
 
-  /// Loads the last durable checkpoint into the host store and returns the
-  /// batch id to pass to run() as start_batch. Replaying from there yields
-  /// final parameters bitwise-identical to an uninterrupted run.
+  /// Loads the last durable checkpoint into the worker parameters and the
+  /// stores and returns the batch id to pass to run() as start_batch.
+  /// Replaying from there is bitwise-identical to an uninterrupted run.
   index_t resume(const std::string& path);
 
  private:
-  HostEmbeddingStore& store_;
+  std::vector<HostEmbeddingStore*> stores_;
   PipelineConfig config_;
+  ParameterWalk worker_params_;
 };
 
 }  // namespace elrec

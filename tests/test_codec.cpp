@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "codec/grad_codec.hpp"
@@ -356,34 +357,44 @@ TEST(CodecTrainer, LossyRunReproducesWithinBoundAcrossThreadCounts) {
 // Checkpoint codec provenance.
 // ---------------------------------------------------------------------
 
+std::string checkpoint_tag(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string tag(4, '\0');
+  in.read(tag.data(), 4);
+  return tag;
+}
+
 TEST(CodecCheckpoint, PipelineRefusesCrossCodecResume) {
   const std::string path = temp_path("elrec_codec_pipe_ckpt.bin");
   std::remove(path.c_str());
   Prng rng(6);
   HostEmbeddingStore store(16, 2, rng);
-  save_pipeline_checkpoint(store, 7, path, CodecId::kDualLevel);
+  save_pipeline_checkpoint(path, 7, CodecId::kDualLevel, {}, {&store});
+  EXPECT_EQ(checkpoint_tag(path), "ELC2");
 
   Prng rng2(7);
   HostEmbeddingStore loaded(16, 2, rng2);
-  EXPECT_THROW(load_pipeline_checkpoint(loaded, path, CodecId::kNull),
+  EXPECT_THROW(load_pipeline_checkpoint(path, CodecId::kNull, {}, {&loaded}),
                PipelineError);
   // Same codec: loads and restores the weights exactly.
-  EXPECT_EQ(load_pipeline_checkpoint(loaded, path, CodecId::kDualLevel), 7);
+  EXPECT_EQ(load_pipeline_checkpoint(path, CodecId::kDualLevel, {}, {&loaded}),
+            7);
   EXPECT_EQ(Matrix::max_abs_diff(loaded.weights(), store.weights()), 0.0f);
   std::remove(path.c_str());
 }
 
 TEST(CodecCheckpoint, NullCodecWritesLegacyFormat) {
-  // A null-codec checkpoint must stay loadable with no codec argument at
-  // all (the pre-codec call sites) — i.e. the bytes are legacy 'EPC1'.
+  // A null-codec checkpoint keeps the pre-codec 'ELC1' bytes (no codec id)
+  // and round-trips exactly.
   const std::string path = temp_path("elrec_codec_legacy_ckpt.bin");
   std::remove(path.c_str());
   Prng rng(8);
   HostEmbeddingStore store(12, 3, rng);
-  save_pipeline_checkpoint(store, 4, path, CodecId::kNull);
+  save_pipeline_checkpoint(path, 4, CodecId::kNull, {}, {&store});
+  EXPECT_EQ(checkpoint_tag(path), "ELC1");
   Prng rng2(9);
   HostEmbeddingStore loaded(12, 3, rng2);
-  EXPECT_EQ(load_pipeline_checkpoint(loaded, path), 4);
+  EXPECT_EQ(load_pipeline_checkpoint(path, CodecId::kNull, {}, {&loaded}), 4);
   EXPECT_EQ(Matrix::max_abs_diff(loaded.weights(), store.weights()), 0.0f);
   std::remove(path.c_str());
 }

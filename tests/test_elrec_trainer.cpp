@@ -45,8 +45,10 @@ TEST(DefaultPlacement, ThresholdsSplitTables) {
 
 TEST(HostTableClientTest, ForwardPoolsInstalledRows) {
   HostTableClient client(10, 2);
-  Matrix rows{{1.0f, 2.0f}, {10.0f, 20.0f}};
-  client.install({3, 7}, rows);
+  const std::vector<index_t> unique{3, 7};
+  const Matrix rows{{1.0f, 2.0f}, {10.0f, 20.0f}};
+  Matrix grads;
+  client.install(unique, rows, grads);
   Matrix out;
   client.forward(IndexBatch::from_bags({{3, 7}, {7, 7}}), out);
   EXPECT_FLOAT_EQ(out.at(0, 0), 11.0f);
@@ -55,26 +57,28 @@ TEST(HostTableClientTest, ForwardPoolsInstalledRows) {
 
 TEST(HostTableClientTest, MissingIndexThrows) {
   HostTableClient client(10, 2);
-  Matrix rows{{1.0f, 2.0f}};
-  client.install({3}, rows);
+  const std::vector<index_t> unique{3};
+  const Matrix rows{{1.0f, 2.0f}};
+  Matrix grads;
+  client.install(unique, rows, grads);
   Matrix out;
   EXPECT_THROW(client.forward(IndexBatch::one_per_sample({4}), out), Error);
 }
 
 TEST(HostTableClientTest, BackwardCapturesAggregatedGrads) {
   HostTableClient client(10, 2);
-  Matrix rows{{1.0f, 2.0f}, {10.0f, 20.0f}};
-  client.install({3, 7}, rows);
+  const std::vector<index_t> unique{3, 7};
+  const Matrix rows{{1.0f, 2.0f}, {10.0f, 20.0f}};
+  Matrix grads;
+  client.install(unique, rows, grads);
   Matrix out;
   const IndexBatch batch = IndexBatch::from_bags({{3, 7}, {7}});
   client.forward(batch, out);
   Matrix grad{{1.0f, 0.0f}, {2.0f, 0.0f}};
   client.backward_and_update(batch, grad, 0.5f);
   // Index 3: grad from sample 0 only; index 7: samples 0 and 1.
-  EXPECT_FLOAT_EQ(client.captured_grads().at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(client.captured_grads().at(1, 0), 3.0f);
-  // updated = rows - lr * grads.
-  EXPECT_FLOAT_EQ(client.updated_rows().at(1, 0), 10.0f - 0.5f * 3.0f);
+  EXPECT_FLOAT_EQ(grads.at(0, 0), 1.0f);
+  EXPECT_FLOAT_EQ(grads.at(1, 0), 3.0f);
 }
 
 TEST(ElRecTrainerTest, TrainsAndReducesLoss) {

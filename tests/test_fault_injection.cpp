@@ -18,6 +18,7 @@
 #include "pipeline/elrec_trainer.hpp"
 #include "pipeline/pipeline_checkpoint.hpp"
 #include "pipeline/pipeline_trainer.hpp"
+#include "pipeline_test_util.hpp"
 
 namespace elrec {
 namespace {
@@ -33,34 +34,22 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { FaultInjector::instance().reset(); }
 };
 
-ComputeStep decay_compute() {
-  return [](index_t /*batch_id*/, const std::vector<index_t>& indices,
-            const Matrix& rows, Matrix& grads) {
-    grads.resize(rows.rows(), rows.cols());
-    for (index_t i = 0; i < rows.rows(); ++i) {
-      const float target =
-          static_cast<float>(indices[static_cast<std::size_t>(i)]);
-      for (index_t j = 0; j < rows.cols(); ++j) {
-        grads.at(i, j) = rows.at(i, j) - target;
-      }
-    }
-  };
-}
+using testutil::decay_compute;
+using testutil::make_stores;
+using testutil::overlapping_batches;
+using testutil::run_batches;
 
-std::vector<std::vector<index_t>> overlapping_batches(index_t num_batches,
-                                                      index_t table_rows,
-                                                      std::uint64_t seed) {
-  Prng rng(seed);
-  std::vector<std::vector<index_t>> batches;
-  for (index_t b = 0; b < num_batches; ++b) {
-    std::vector<index_t> unique;
-    for (index_t i = 0; i < table_rows; ++i) {
-      if (rng.uniform() < 0.5) unique.push_back(i);
+// decay_compute(), except that batches for which `fails` holds throw.
+ComputeStep failing_compute(bool (*fails)(index_t batch_id)) {
+  return [fails](index_t batch_id, const MiniBatch& batch,
+                 const std::vector<std::vector<index_t>>& unique,
+                 const std::vector<Matrix>& rows, std::vector<Matrix>& grads) {
+    if (fails(batch_id)) {
+      throw Error("synthetic compute failure at batch " +
+                  std::to_string(batch_id));
     }
-    if (unique.empty()) unique.push_back(0);
-    batches.push_back(std::move(unique));
-  }
-  return batches;
+    decay_compute()(batch_id, batch, unique, rows, grads);
+  };
 }
 
 // ---------------------------------------------------------------------
@@ -135,24 +124,18 @@ TEST_F(FaultInjectionTest, RetryExhaustionIsFatalNotTransient) {
 
 TEST_F(FaultInjectionTest, ComputeExceptionYieldsPipelineErrorInBoundedTime) {
   const auto batches = overlapping_batches(40, 24, 77);
-  Prng rng(123);
-  HostEmbeddingStore store(24, 3, rng);
+  auto stores = make_stores({{24, 3}}, 123);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
-  PipelineTrainer trainer(store, cfg);
-
-  const ComputeStep failing = [](index_t batch_id,
-                                 const std::vector<index_t>& indices,
-                                 const Matrix& rows, Matrix& grads) {
-    if (batch_id == 13) throw Error("synthetic compute failure");
-    decay_compute()(batch_id, indices, rows, grads);
-  };
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const ComputeStep failing =
+      failing_compute([](index_t batch_id) { return batch_id == 13; });
 
   // run() must return (by throwing) well before a deadlocked join would; a
   // wedged server thread would hang the future instead.
   auto fut = std::async(std::launch::async, [&] {
     try {
-      trainer.run(batches, failing);
+      run_batches(trainer, batches, failing);
       return std::string("no error");
     } catch (const PipelineError& e) {
       EXPECT_EQ(e.stage(), "worker");
@@ -169,23 +152,22 @@ TEST_F(FaultInjectionTest, ComputeExceptionYieldsPipelineErrorInBoundedTime) {
 
   // Host store stays consistent: all drained gradients were applied, so a
   // fresh fault-free run over the remaining batches still works.
-  EXPECT_NO_THROW(trainer.run(batches, decay_compute(), 14));
+  EXPECT_NO_THROW(run_batches(trainer, batches, decay_compute(), 14));
 }
 
 TEST_F(FaultInjectionTest, InjectedComputeFaultPointAlsoShutsDownCleanly) {
   const auto batches = overlapping_batches(20, 16, 5);
-  Prng rng(9);
-  HostEmbeddingStore store(16, 2, rng);
+  auto stores = make_stores({{16, 2}}, 9);
   PipelineConfig cfg;
   cfg.queue_capacity = 2;
-  PipelineTrainer trainer(store, cfg);
+  PipelineTrainer trainer(stores.ptrs(), cfg);
 
   FaultSpec spec;
   spec.kind = FaultKind::kError;
   spec.skip_first = 5;
-  FaultInjector::instance().arm("pipeline.compute", spec);
+  FaultInjector::instance().arm("elrec.compute", spec);
   try {
-    trainer.run(batches, decay_compute());
+    run_batches(trainer, batches, decay_compute());
     FAIL() << "expected PipelineError";
   } catch (const PipelineError& e) {
     EXPECT_EQ(e.stage(), "worker");
@@ -195,18 +177,17 @@ TEST_F(FaultInjectionTest, InjectedComputeFaultPointAlsoShutsDownCleanly) {
 
 TEST_F(FaultInjectionTest, FatalServerPullFaultIsReportedAsServerFailure) {
   const auto batches = overlapping_batches(30, 16, 11);
-  Prng rng(3);
-  HostEmbeddingStore store(16, 2, rng);
+  auto stores = make_stores({{16, 2}}, 3);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
-  PipelineTrainer trainer(store, cfg);
+  PipelineTrainer trainer(stores.ptrs(), cfg);
 
   FaultSpec spec;
   spec.kind = FaultKind::kError;  // fatal: retry must NOT absorb it
   spec.skip_first = 7;
   FaultInjector::instance().arm("host_store.pull", spec);
   try {
-    trainer.run(batches, decay_compute());
+    run_batches(trainer, batches, decay_compute());
     FAIL() << "expected PipelineError";
   } catch (const PipelineError& e) {
     EXPECT_EQ(e.stage(), "server");
@@ -217,12 +198,11 @@ TEST_F(FaultInjectionTest, FatalServerPullFaultIsReportedAsServerFailure) {
 
 TEST_F(FaultInjectionTest, StalledServerDiagnosedByQueueDeadline) {
   const auto batches = overlapping_batches(20, 16, 21);
-  Prng rng(4);
-  HostEmbeddingStore store(16, 2, rng);
+  auto stores = make_stores({{16, 2}}, 4);
   PipelineConfig cfg;
   cfg.queue_capacity = 2;
   cfg.queue_timeout = std::chrono::milliseconds(200);
-  PipelineTrainer trainer(store, cfg);
+  PipelineTrainer trainer(stores.ptrs(), cfg);
 
   FaultSpec spec;
   spec.kind = FaultKind::kDelay;
@@ -232,7 +212,7 @@ TEST_F(FaultInjectionTest, StalledServerDiagnosedByQueueDeadline) {
   FaultInjector::instance().arm("pipeline.server_tick", spec);
 
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(trainer.run(batches, decay_compute()), PipelineError);
+  EXPECT_THROW(run_batches(trainer, batches, decay_compute()), PipelineError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // Deadline (200ms) + the injected 3s stall the join must out-wait; well
   // under a deadlock (which would hit the test timeout instead).
@@ -243,17 +223,13 @@ TEST_F(FaultInjectionTest, SequentialModeShutdownAlsoClean) {
   // queue_capacity = 1 is the degenerate sequential pipeline; the shutdown
   // protocol must work there too.
   const auto batches = overlapping_batches(10, 8, 3);
-  Prng rng(4);
-  HostEmbeddingStore store(8, 2, rng);
+  auto stores = make_stores({{8, 2}}, 4);
   PipelineConfig cfg;
   cfg.queue_capacity = 1;
-  PipelineTrainer trainer(store, cfg);
-  const ComputeStep failing = [](index_t batch_id, const std::vector<index_t>&,
-                                 const Matrix&, Matrix&) {
-    throw Error("fail batch " + std::to_string(batch_id));
-  };
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const ComputeStep failing = failing_compute([](index_t) { return true; });
   auto fut = std::async(std::launch::async, [&] {
-    EXPECT_THROW(trainer.run(batches, failing), PipelineError);
+    EXPECT_THROW(run_batches(trainer, batches, failing), PipelineError);
   });
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(20)),
             std::future_status::ready);
@@ -266,13 +242,12 @@ TEST_F(FaultInjectionTest, SequentialModeShutdownAlsoClean) {
 TEST_F(FaultInjectionTest, TransientHostFaultsRetryToIdenticalResult) {
   const auto batches = overlapping_batches(40, 24, 77);
 
-  Prng rng1(123);
-  HostEmbeddingStore clean_store(24, 3, rng1);
+  auto clean_stores = make_stores({{24, 3}}, 123);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
   cfg.lr = 0.3f;
-  PipelineTrainer clean(clean_store, cfg);
-  clean.run(batches, decay_compute());
+  PipelineTrainer clean(clean_stores.ptrs(), cfg);
+  run_batches(clean, batches, decay_compute());
 
   FaultSpec pull_spec;
   pull_spec.kind = FaultKind::kTransient;
@@ -284,20 +259,19 @@ TEST_F(FaultInjectionTest, TransientHostFaultsRetryToIdenticalResult) {
   push_spec.seed = 42;
   FaultInjector::instance().arm("host_store.push", push_spec);
 
-  Prng rng2(123);
-  HostEmbeddingStore faulty_store(24, 3, rng2);
+  auto faulty_stores = make_stores({{24, 3}}, 123);
   cfg.host_retry.max_attempts = 40;  // P(40 consecutive fails) ~ 1e-21
   cfg.host_retry.initial_backoff = std::chrono::milliseconds(1);
-  PipelineTrainer faulty(faulty_store, cfg);
-  const PipelineStats stats = faulty.run(batches, decay_compute());
+  PipelineTrainer faulty(faulty_stores.ptrs(), cfg);
+  const PipelineStats stats = run_batches(faulty, batches, decay_compute());
 
   EXPECT_EQ(stats.batches, 40);
   EXPECT_GT(FaultInjector::instance().fires("host_store.pull") +
                 FaultInjector::instance().fires("host_store.push"),
             0u)
       << "test vacuous: no transient fault actually fired";
-  EXPECT_EQ(Matrix::max_abs_diff(faulty_store.weights(),
-                                 clean_store.weights()),
+  EXPECT_EQ(Matrix::max_abs_diff(faulty_stores[0].weights(),
+                                 clean_stores[0].weights()),
             0.0f)
       << "retried run diverged from the fault-free run";
 }
@@ -310,20 +284,19 @@ TEST_F(FaultInjectionTest, PeriodicCheckpointsAreWrittenAndLoadable) {
   const std::string path = temp_path("elrec_pipe_ckpt.bin");
   std::remove(path.c_str());
   const auto batches = overlapping_batches(20, 16, 31);
-  Prng rng(6);
-  HostEmbeddingStore store(16, 2, rng);
+  auto stores = make_stores({{16, 2}}, 6);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
   cfg.checkpoint_every_n = 5;
   cfg.checkpoint_path = path;
-  PipelineTrainer trainer(store, cfg);
-  const PipelineStats stats = trainer.run(batches, decay_compute());
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const PipelineStats stats = run_batches(trainer, batches, decay_compute());
   EXPECT_EQ(stats.checkpoints_written, 4);
 
-  Prng rng2(7);
-  HostEmbeddingStore loaded(16, 2, rng2);
-  EXPECT_EQ(load_pipeline_checkpoint(loaded, path), 20);
-  EXPECT_EQ(Matrix::max_abs_diff(loaded.weights(), store.weights()), 0.0f);
+  auto loaded = make_stores({{16, 2}}, 7);
+  EXPECT_EQ(PipelineTrainer(loaded.ptrs(), cfg).resume(path), 20);
+  EXPECT_EQ(Matrix::max_abs_diff(loaded[0].weights(), stores[0].weights()),
+            0.0f);
   std::remove(path.c_str());
 }
 
@@ -333,32 +306,31 @@ TEST_F(FaultInjectionTest, CrashMidCheckpointLeavesDurableStateAndResumes) {
   const auto batches = overlapping_batches(40, 24, 77);
 
   // Reference: uninterrupted fault-free run.
-  Prng rng1(123);
-  HostEmbeddingStore clean_store(24, 3, rng1);
+  auto clean_stores = make_stores({{24, 3}}, 123);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
   cfg.lr = 0.3f;
   cfg.checkpoint_every_n = 10;
   cfg.checkpoint_path = path;
   {
-    PipelineTrainer clean(clean_store, cfg);
-    clean.run(batches, decay_compute());
+    PipelineTrainer clean(clean_stores.ptrs(), cfg);
+    run_batches(clean, batches, decay_compute());
   }
   std::remove(path.c_str());
 
   // Crashing run: the 2nd checkpoint write dies mid-array (simulated kill
-  // between the length prefix and the payload).
+  // between the length prefix and the payload). With one store and no
+  // worker parameters, each checkpoint writes exactly one array.
   FaultSpec spec;
   spec.kind = FaultKind::kError;
   spec.skip_first = 1;  // 1st checkpoint write succeeds
   spec.message = "simulated crash mid-checkpoint";
   FaultInjector::instance().arm("serialize.write_array", spec);
 
-  Prng rng2(123);
-  HostEmbeddingStore crash_store(24, 3, rng2);
-  PipelineTrainer crashing(crash_store, cfg);
+  auto crash_stores = make_stores({{24, 3}}, 123);
+  PipelineTrainer crashing(crash_stores.ptrs(), cfg);
   try {
-    crashing.run(batches, decay_compute());
+    run_batches(crashing, batches, decay_compute());
     FAIL() << "expected PipelineError from the torn checkpoint";
   } catch (const PipelineError& e) {
     EXPECT_EQ(e.stage(), "checkpoint");
@@ -368,17 +340,16 @@ TEST_F(FaultInjectionTest, CrashMidCheckpointLeavesDurableStateAndResumes) {
   // Damage is confined to the temp file: the durable checkpoint (batch 10)
   // is intact and loadable.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  Prng rng3(123);
-  HostEmbeddingStore resumed_store(24, 3, rng3);
-  PipelineTrainer resumed(resumed_store, cfg);
+  auto resumed_stores = make_stores({{24, 3}}, 123);
+  PipelineTrainer resumed(resumed_stores.ptrs(), cfg);
   const index_t start = resumed.resume(path);
   EXPECT_EQ(start, 10);
 
   // Replaying from the last durable batch matches the uninterrupted run
   // bitwise.
-  resumed.run(batches, decay_compute(), start);
-  EXPECT_EQ(Matrix::max_abs_diff(resumed_store.weights(),
-                                 clean_store.weights()),
+  run_batches(resumed, batches, decay_compute(), start);
+  EXPECT_EQ(Matrix::max_abs_diff(resumed_stores[0].weights(),
+                                 clean_stores[0].weights()),
             0.0f)
       << "resume diverged from the uninterrupted run";
   std::remove(path.c_str());
@@ -386,17 +357,16 @@ TEST_F(FaultInjectionTest, CrashMidCheckpointLeavesDurableStateAndResumes) {
 
 TEST_F(FaultInjectionTest, TruncatedCheckpointIsRejectedOnLoad) {
   const std::string path = temp_path("elrec_trunc_ckpt.bin");
-  const auto batches = overlapping_batches(10, 8, 3);
-  Prng rng(6);
-  HostEmbeddingStore store(8, 2, rng);
-  save_pipeline_checkpoint(store, 10, path);
+  auto stores = make_stores({{8, 2}}, 6);
+  save_pipeline_checkpoint(path, 10, CodecId::kNull, {}, stores.ptrs());
 
   // Chop the footer off: the checksum/size check must reject the file.
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 6);
-  Prng rng2(6);
-  HostEmbeddingStore loaded(8, 2, rng2);
-  EXPECT_THROW(load_pipeline_checkpoint(loaded, path), Error);
+  auto loaded = make_stores({{8, 2}}, 6);
+  EXPECT_THROW(load_pipeline_checkpoint(path, CodecId::kNull, {},
+                                        loaded.ptrs()),
+               Error);
   std::remove(path.c_str());
 }
 
@@ -533,6 +503,44 @@ TEST_F(FaultInjectionTest, ElrecCheckpointResumeMatchesUninterruptedRun) {
   });
   EXPECT_EQ(clean_params, resumed_params)
       << "model parameters diverged after resume";
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultInjectionTest, StalledServerAtCheckpointBarrierHonorsDeadline) {
+  // The checkpoint barrier is a worker wait like the queue waits, so a
+  // stalled server is diagnosed there within queue_timeout too.
+  const std::string path = temp_path("elrec_barrier_ckpt.bin");
+  std::remove(path.c_str());
+  const DatasetSpec spec = small_spec();
+  ElRecTrainerConfig cfg = small_elrec_config(spec);
+  cfg.queue_capacity = 4;
+  cfg.queue_timeout = std::chrono::milliseconds(50);
+  // A barrier after every batch: the prefetch queue runs ahead, so once the
+  // server stalls the worker's next wait is the barrier for its last push.
+  cfg.checkpoint_every_n = 1;
+  cfg.checkpoint_path = path;
+  ElRecTrainer trainer(cfg, spec);
+  SyntheticDataset data(spec, 11);
+
+  FaultSpec stall;
+  stall.kind = FaultKind::kDelay;
+  stall.delay = std::chrono::milliseconds(1500);
+  stall.skip_first = 6;
+  stall.max_fires = 1;
+  FaultInjector::instance().arm("pipeline.server_tick", stall);
+
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    trainer.train(data, 20, 32);
+    FAIL() << "expected PipelineError from the stalled checkpoint barrier";
+  } catch (const PipelineError& e) {
+    EXPECT_EQ(e.stage(), "checkpoint");
+    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
+        << e.what();
+  }
+  // Deadline (50ms) + the injected stall the join must out-wait.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
   std::remove(path.c_str());
 }
 

@@ -11,6 +11,7 @@
 #include "pipeline/embedding_cache.hpp"
 #include "pipeline/host_embedding_store.hpp"
 #include "pipeline/pipeline_trainer.hpp"
+#include "pipeline_test_util.hpp"
 
 namespace elrec {
 namespace {
@@ -151,105 +152,86 @@ TEST(RingAllReduceTest, RingBytesFormula) {
 // Pipeline vs sequential-oracle equivalence.
 // ---------------------------------------------------------------------
 
-// Deterministic "loss": grad(row) = row - target, target fixed per index.
-// Sequentially this is an exponential-decay iteration and every batch's
-// gradient depends on the CURRENT parameter value, so stale reads change
-// the result — exactly the RAW hazard the embedding cache must fix.
-ComputeStep decay_compute() {
-  return [](index_t /*batch_id*/, const std::vector<index_t>& indices,
-            const Matrix& rows, Matrix& grads) {
-    grads.resize(rows.rows(), rows.cols());
-    for (index_t i = 0; i < rows.rows(); ++i) {
-      const float target = static_cast<float>(indices[static_cast<std::size_t>(i)]);
-      for (index_t j = 0; j < rows.cols(); ++j) {
-        grads.at(i, j) = rows.at(i, j) - target;
-      }
-    }
-  };
+using testutil::BatchList;
+using testutil::decay_compute;
+using testutil::list_source;
+using testutil::make_stores;
+using testutil::overlapping_batches;
+
+struct DepthCase {
+  index_t depth;
+  index_t stores;  // 1: one 24x3 store; 2: adds a 16x2 store
+};
+
+// Single-store cases print as the bare depth, which keeps their test names.
+void PrintTo(const DepthCase& c, std::ostream* os) {
+  *os << c.depth;
+  if (c.stores > 1) *os << "_" << c.stores << "stores";
 }
 
-std::vector<std::vector<index_t>> overlapping_batches(index_t num_batches,
-                                                      index_t table_rows,
-                                                      std::uint64_t seed) {
-  // Batches share indices aggressively so consecutive batches conflict.
-  Prng rng(seed);
-  std::vector<std::vector<index_t>> batches;
-  for (index_t b = 0; b < num_batches; ++b) {
-    std::vector<index_t> unique;
-    for (index_t i = 0; i < table_rows; ++i) {
-      if (rng.uniform() < 0.5) unique.push_back(i);
-    }
-    if (unique.empty()) unique.push_back(0);
-    batches.push_back(std::move(unique));
-  }
-  return batches;
-}
-
-Matrix run_sequential_oracle(const std::vector<std::vector<index_t>>& batches,
-                             index_t rows, index_t dim, float lr,
-                             std::uint64_t seed) {
-  Prng rng(seed);
-  HostEmbeddingStore store(rows, dim, rng);
-  const ComputeStep compute = decay_compute();
-  Matrix pulled, grads;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    store.pull(batches[b], pulled);
-    compute(static_cast<index_t>(b), batches[b], pulled, grads);
-    store.apply_gradients(batches[b], grads, lr);
-  }
-  return store.weights();
-}
-
-class PipelineDepthTest : public ::testing::TestWithParam<index_t> {};
+class PipelineDepthTest : public ::testing::TestWithParam<DepthCase> {};
 
 TEST_P(PipelineDepthTest, MatchesSequentialOracleWithCache) {
-  const index_t depth = GetParam();
-  const auto batches = overlapping_batches(40, 24, 77);
-  const Matrix oracle = run_sequential_oracle(batches, 24, 3, 0.3f, 123);
+  const DepthCase c = GetParam();
+  // Each store gets its own overlapping batch stream.
+  std::vector<BatchList> batches{overlapping_batches(40, 24, 77)};
+  std::vector<testutil::StoreShape> shapes{{24, 3}};
+  if (c.stores > 1) {
+    batches.push_back(overlapping_batches(40, 16, 78));
+    shapes.push_back({16, 2});
+  }
+  auto oracle = make_stores(shapes, 123);
+  testutil::run_sequential_oracle(oracle, batches, decay_compute(), 0.3f);
 
-  Prng rng(123);
-  HostEmbeddingStore store(24, 3, rng);
+  auto stores = make_stores(shapes, 123);
   PipelineConfig cfg;
-  cfg.queue_capacity = depth;
+  cfg.queue_capacity = c.depth;
   cfg.lr = 0.3f;
   cfg.use_embedding_cache = true;
-  PipelineTrainer trainer(store, cfg);
-  const PipelineStats stats = trainer.run(batches, decay_compute());
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const PipelineStats stats =
+      trainer.run(40, list_source(batches), decay_compute());
   EXPECT_EQ(stats.batches, 40);
-  EXPECT_LT(Matrix::max_abs_diff(store.weights(), oracle), 1e-5f)
-      << "pipelined training diverged from the sequential oracle at depth "
-      << depth;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_LT(Matrix::max_abs_diff(stores[s].weights(), oracle[s].weights()),
+              1e-5f)
+        << "pipelined training diverged from the sequential oracle at depth "
+        << c.depth << ", store " << s;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, PipelineDepthTest,
-                         ::testing::Values<index_t>(1, 2, 4, 8));
+                         ::testing::Values(DepthCase{1, 1}, DepthCase{2, 1},
+                                           DepthCase{4, 1}, DepthCase{8, 1},
+                                           DepthCase{1, 2}, DepthCase{4, 2},
+                                           DepthCase{8, 2}));
 
 TEST(PipelineTrainerTest, DisablingCacheReproducesRawBug) {
   // With deep queues and no cache, prefetched rows are stale and the result
   // must deviate from the oracle (this is Fig. 10a's failure mode). Guards
   // against the test above passing vacuously.
-  const auto batches = overlapping_batches(40, 24, 77);
-  const Matrix oracle = run_sequential_oracle(batches, 24, 3, 0.3f, 123);
+  const std::vector<BatchList> batches{overlapping_batches(40, 24, 77)};
+  auto oracle = make_stores({{24, 3}}, 123);
+  testutil::run_sequential_oracle(oracle, batches, decay_compute(), 0.3f);
 
-  Prng rng(123);
-  HostEmbeddingStore store(24, 3, rng);
+  auto stores = make_stores({{24, 3}}, 123);
   PipelineConfig cfg;
   cfg.queue_capacity = 8;
   cfg.lr = 0.3f;
   cfg.use_embedding_cache = false;
-  PipelineTrainer trainer(store, cfg);
-  trainer.run(batches, decay_compute());
-  EXPECT_GT(Matrix::max_abs_diff(store.weights(), oracle), 1e-3f);
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  trainer.run(40, list_source(batches), decay_compute());
+  EXPECT_GT(Matrix::max_abs_diff(stores[0].weights(), oracle[0].weights()),
+            1e-3f);
 }
 
 TEST(PipelineTrainerTest, CachePatchesRowsUnderDeepPipelines) {
-  const auto batches = overlapping_batches(30, 16, 5);
-  Prng rng(9);
-  HostEmbeddingStore store(16, 2, rng);
+  auto stores = make_stores({{16, 2}}, 9);
   PipelineConfig cfg;
   cfg.queue_capacity = 4;
-  PipelineTrainer trainer(store, cfg);
-  const PipelineStats stats = trainer.run(batches, decay_compute());
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const PipelineStats stats = trainer.run(
+      30, list_source({overlapping_batches(30, 16, 5)}), decay_compute());
   EXPECT_GT(stats.rows_patched, 0);
   // LC management must bound the cache: never more than a few batches of
   // rows resident.
@@ -262,13 +244,12 @@ TEST(PipelineTrainerTest, SequentialModeNeedsNoPatches) {
   // prefetch batch i+1 before batch i's gradient arrives, so patches can
   // still occur. What must hold: the result matches the oracle (covered by
   // the parameterized test) and the pipeline completes without deadlock.
-  const auto batches = overlapping_batches(10, 8, 3);
-  Prng rng(4);
-  HostEmbeddingStore store(8, 2, rng);
+  auto stores = make_stores({{8, 2}}, 4);
   PipelineConfig cfg;
   cfg.queue_capacity = 1;
-  PipelineTrainer trainer(store, cfg);
-  const PipelineStats stats = trainer.run(batches, decay_compute());
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  const PipelineStats stats = trainer.run(
+      10, list_source({overlapping_batches(10, 8, 3)}), decay_compute());
   EXPECT_EQ(stats.batches, 10);
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/eff_tt_table.hpp"
 #include "pipeline/pipeline_trainer.hpp"
+#include "pipeline_test_util.hpp"
 #include "tt/tt_svd.hpp"
 #include "tt/tt_table.hpp"
 
@@ -72,9 +73,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 
+// 16 bytes with extra_stores = 0, so the one-store cases print — and are
+// named — exactly as before the store count was a parameter.
 struct FuzzCase {
   std::uint64_t seed;
-  index_t depth;
+  std::int32_t depth;
+  std::int32_t extra_stores;  // host stores beyond the first
 };
 
 class PipelineFuzz : public ::testing::TestWithParam<FuzzCase> {};
@@ -83,61 +87,56 @@ TEST_P(PipelineFuzz, AlwaysMatchesSequentialOracle) {
   const FuzzCase& c = GetParam();
   const index_t rows = 32, dim = 3;
   Prng gen(c.seed);
-  std::vector<std::vector<index_t>> batches;
   const index_t num_batches = 20 + static_cast<index_t>(gen.uniform_index(30));
-  for (index_t b = 0; b < num_batches; ++b) {
-    std::vector<index_t> unique;
-    for (index_t i = 0; i < rows; ++i) {
-      if (gen.bernoulli(0.4)) unique.push_back(i);
-    }
-    if (unique.empty()) unique.push_back(static_cast<index_t>(b % rows));
-    batches.push_back(std::move(unique));
-  }
-
-  const ComputeStep compute = [](index_t batch_id,
-                                 const std::vector<index_t>& indices,
-                                 const Matrix& pulled, Matrix& grads) {
-    grads.resize(pulled.rows(), pulled.cols());
-    for (index_t i = 0; i < pulled.rows(); ++i) {
-      for (index_t j = 0; j < pulled.cols(); ++j) {
-        // Depends on the CURRENT parameter value and the batch id, so any
-        // staleness shifts the trajectory.
-        grads.at(i, j) = pulled.at(i, j) * 0.5f +
-                         0.01f * static_cast<float>((batch_id + indices[
-                             static_cast<std::size_t>(i)]) % 7);
+  // Each store draws its own batch stream from the shared generator.
+  std::vector<testutil::BatchList> batches(
+      static_cast<std::size_t>(1 + c.extra_stores));
+  for (auto& store_batches : batches) {
+    for (index_t b = 0; b < num_batches; ++b) {
+      std::vector<index_t> unique;
+      for (index_t i = 0; i < rows; ++i) {
+        if (gen.bernoulli(0.4)) unique.push_back(i);
       }
+      if (unique.empty()) unique.push_back(static_cast<index_t>(b % rows));
+      store_batches.push_back(std::move(unique));
     }
-  };
-
-  // Oracle.
-  Prng oracle_rng(c.seed ^ 0x5ca1ab1e);
-  HostEmbeddingStore oracle(rows, dim, oracle_rng);
-  Matrix pulled, grads;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    oracle.pull(batches[b], pulled);
-    compute(static_cast<index_t>(b), batches[b], pulled, grads);
-    oracle.apply_gradients(batches[b], grads, 0.2f);
   }
 
-  // Pipelined.
-  Prng store_rng(c.seed ^ 0x5ca1ab1e);
-  HostEmbeddingStore store(rows, dim, store_rng);
+  // Depends on the CURRENT parameter value and the batch id, so any
+  // staleness shifts the trajectory.
+  const ComputeStep compute = testutil::row_compute(
+      [](float value, index_t index, index_t batch_id, float coupling) {
+        return value * 0.5f +
+               0.01f * static_cast<float>((batch_id + index) % 7) + coupling;
+      });
+  const std::vector<testutil::StoreShape> shapes(batches.size(), {rows, dim});
+
+  auto oracle = testutil::make_stores(shapes, c.seed ^ 0x5ca1ab1e);
+  testutil::run_sequential_oracle(oracle, batches, compute, 0.2f);
+
+  auto stores = testutil::make_stores(shapes, c.seed ^ 0x5ca1ab1e);
   PipelineConfig cfg;
   cfg.queue_capacity = c.depth;
   cfg.lr = 0.2f;
-  PipelineTrainer trainer(store, cfg);
-  trainer.run(batches, compute);
+  PipelineTrainer trainer(stores.ptrs(), cfg);
+  trainer.run(num_batches, testutil::list_source(batches), compute);
 
-  EXPECT_LT(Matrix::max_abs_diff(store.weights(), oracle.weights()), 1e-5f)
-      << "seed " << c.seed << " depth " << c.depth;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_LT(Matrix::max_abs_diff(stores[s].weights(), oracle[s].weights()),
+              1e-5f)
+        << "seed " << c.seed << " depth " << c.depth << " store " << s;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndDepths, PipelineFuzz,
-    ::testing::Values(FuzzCase{11, 1}, FuzzCase{12, 2}, FuzzCase{13, 3},
-                      FuzzCase{14, 5}, FuzzCase{15, 8}, FuzzCase{16, 13},
-                      FuzzCase{17, 2}, FuzzCase{18, 4}, FuzzCase{19, 7},
-                      FuzzCase{20, 6}));
+    ::testing::Values(FuzzCase{11, 1, 0}, FuzzCase{12, 2, 0},
+                      FuzzCase{13, 3, 0}, FuzzCase{14, 5, 0},
+                      FuzzCase{15, 8, 0}, FuzzCase{16, 13, 0},
+                      FuzzCase{17, 2, 0}, FuzzCase{18, 4, 0},
+                      FuzzCase{19, 7, 0}, FuzzCase{20, 6, 0},
+                      FuzzCase{21, 1, 1}, FuzzCase{22, 3, 1},
+                      FuzzCase{23, 8, 1}, FuzzCase{24, 13, 1}));
 
 // ---------------------------------------------------------------------
 
