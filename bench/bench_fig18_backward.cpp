@@ -132,14 +132,6 @@ BENCHMARK(BM_Backward_EffTT_NoFused) BACKWARD_ARGS;
 BENCHMARK(BM_Backward_EffTT) BACKWARD_ARGS;
 BENCHMARK(BM_Backward_EffTT_Reorder) BACKWARD_ARGS;
 
-void set_threads(int n) {
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#else
-  (void)n;
-#endif
-}
-
 // Trains `table` for iters steps on the pre-generated batches and returns
 // backward-only throughput (batches/s): the forward runs untimed each step
 // because backward_and_update consumes its cache.
@@ -177,11 +169,11 @@ int run_quick() {
   EffTTTable t1(kRows, shape, rng1);
   EffTTTable t8(kRows, shape, rng8);
 
-  set_threads(1);
+  benchutil::set_threads(1);
   const double rate1 = backward_batches_per_s(t1, batches, grad, kIters);
-  set_threads(8);
+  benchutil::set_threads(8);
   const double rate8 = backward_batches_per_s(t8, batches, grad, kIters);
-  set_threads(1);
+  benchutil::set_threads(1);
 
   float max_diff = 0.0f;
   for (int k = 0; k < t1.cores().shape().num_cores(); ++k) {

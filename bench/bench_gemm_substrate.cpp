@@ -3,6 +3,8 @@
 // the baseline every TT measurement stands on.
 // `--quick` skips google-benchmark and runs a fixed shape set in a few
 // seconds, writing BENCH_gemm_substrate.json for the perf-regression harness.
+// It also records the per-call cost of a tiny gemm (ns/call) at 1 thread and
+// at all cores, at top level and from inside a parallel region.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -74,6 +76,44 @@ void BM_Gemm_TallSkinny(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Gemm_TallSkinny)->Arg(512)->Arg(4096)->MinTime(0.05);
+
+// Best-of-5 ns per call of a tiny (4 x 16) * (16 x 32) gemm, the size of one
+// TT-core product. `nested` makes the calls from inside a parallel region
+// (every thread calls on its own C, as batched_gemm does), so the figure is
+// thread time per call there. A kernel that enters the OpenMP runtime for
+// work it then runs serially shows up here as hundreds of ns per call.
+double tiny_gemm_ns_per_call(bool nested) {
+  constexpr index_t m = 4, k = 16, n = 32;
+  constexpr int kCalls = 20000;
+  Prng rng(4);
+  Matrix a(m, k), b(k, n);
+  a.fill_normal(rng);
+  b.fill_normal(rng);
+  std::vector<Matrix> c(static_cast<std::size_t>(benchutil::compute_threads()),
+                        Matrix(m, n));
+  const auto calls = [&](Matrix& out) {
+    for (int i = 0; i < kCalls; ++i) {
+      gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(), n,
+           0.0f, out.data(), n);
+    }
+  };
+  const auto run = [&] {
+    if (!nested) {
+      calls(c[0]);
+      return;
+    }
+#pragma omp parallel
+    {
+#ifdef _OPENMP
+      calls(c[static_cast<std::size_t>(omp_get_thread_num())]);
+#else
+      calls(c[0]);
+#endif
+    }
+  };
+  run();
+  return benchutil::time_best_seconds(run, 5) / kCalls * 1e9;
+}
 
 // Best-of-5 GFLOP/s of `fn`, which must perform `flops` float operations.
 template <typename Fn>
@@ -155,6 +195,23 @@ int run_quick() {
     });
     record("gemv_n_2048", gf_n);
     record("gemv_t_2048", gf_t);
+  }
+  {
+    // Per-call overhead arm: at 1 thread and at all cores, top level and
+    // nested. Rows are named t1/tall; "threads" records the count.
+    const int all = benchutil::compute_threads();
+    for (const int threads : {1, all}) {
+      benchutil::set_threads(threads);
+      for (const bool nested : {false, true}) {
+        const std::string name = std::string("gemm_tiny_4x16x32_") +
+                                 (nested ? "nested" : "top") +
+                                 (threads == 1 ? "_t1" : "_tall");
+        const double ns = tiny_gemm_ns_per_call(nested);
+        report.add(name, {{"ns/call", ns}, {"threads", threads}});
+        table.push_back({name, benchutil::fmt(ns) + " ns/call"});
+      }
+    }
+    benchutil::set_threads(all);
   }
 
   benchutil::print_table(table);

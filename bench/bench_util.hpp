@@ -107,6 +107,16 @@ inline int compute_threads() {
 #endif
 }
 
+/// Sets the OpenMP team size for the following parallel regions (no-op
+/// without OpenMP).
+inline void set_threads(int n) {
+#ifdef _OPENMP
+  omp_set_num_threads(n);
+#else
+  (void)n;
+#endif
+}
+
 /// Compile-time build-flag string baked in by bench/CMakeLists.txt so two
 /// BENCH_*.json files are only compared when their builds match.
 inline const char* build_flags() {

@@ -8,6 +8,10 @@
 //                               must use the fixed-shard merge pattern
 //                               (eff_tt_table.cpp); `reduction(+:..)` and
 //                               `omp atomic` reorder FP adds run-to-run.
+//   omp-parallel-if           — an `if (...)` clause on `omp parallel`
+//                               still enters the OpenMP runtime (a team of
+//                               one) when false; guard with a plain branch
+//                               (common/parallel.hpp) instead.
 //   atomics-ordering          — hot-path counters are relaxed by contract;
 //                               an RMW without an explicit memory_order is
 //                               a silent seq_cst fence, and `volatile` is
@@ -194,6 +198,52 @@ class NondeterministicReductionRule final : public Rule {
             "that the accumulator is integral"));
       }
     }
+  }
+};
+
+class OmpParallelIfRule final : public Rule {
+ public:
+  std::string_view name() const override { return "omp-parallel-if"; }
+  std::string_view description() const override {
+    return "an if clause on '#pragma omp parallel' still forks a team of one "
+           "when false; decide with fork_omp_team/parallel_for instead";
+  }
+  void check(const SourceFile& file, const LintContext&,
+             std::vector<Finding>& out) const override {
+    for (const Token& t : file.tokens()) {
+      if (t.kind != TokenKind::kPpDirective) continue;
+      const std::string& d = t.text;
+      if (d.find("pragma") == std::string::npos ||
+          d.find("omp") == std::string::npos ||
+          d.find("parallel") == std::string::npos) {
+        continue;
+      }
+      if (!has_if_clause(d)) continue;
+      out.push_back(make_finding(
+          file, name(), t.line, t.col,
+          "'if (...)' on '#pragma omp parallel' enters the OpenMP runtime "
+          "even when false (~0.4 us top level, ~2 us nested); branch on "
+          "fork_omp_team(cond) or call parallel_for(begin, end, cond, body) "
+          "from common/parallel.hpp"));
+    }
+  }
+
+ private:
+  // True when the directive holds the word `if` followed by `(`
+  // (continuations are already joined into one line by the lexer).
+  static bool has_if_clause(const std::string& d) {
+    const auto word_char = [](char c) {
+      return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+             (c >= '0' && c <= '9') || c == '_';
+    };
+    for (std::size_t p = d.find("if"); p != std::string::npos;
+         p = d.find("if", p + 1)) {
+      if (p > 0 && word_char(d[p - 1])) continue;
+      std::size_t q = p + 2;
+      while (q < d.size() && (d[q] == ' ' || d[q] == '\t')) ++q;
+      if (q < d.size() && d[q] == '(') return true;
+    }
+    return false;
   }
 };
 
@@ -479,6 +529,7 @@ RuleRegistry RuleRegistry::with_builtin_rules() {
   RuleRegistry r;
   r.add(std::make_unique<DeterminismRandRule>());
   r.add(std::make_unique<NondeterministicReductionRule>());
+  r.add(std::make_unique<OmpParallelIfRule>());
   r.add(std::make_unique<AtomicsOrderingRule>());
   r.add(std::make_unique<IostreamInLibRule>());
   r.add(std::make_unique<LockDisciplineRule>());

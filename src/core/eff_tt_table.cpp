@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "tensor/batched_gemm.hpp"
 #include "tensor/gemm.hpp"
@@ -258,8 +259,7 @@ void EffTTTable::pool_unique_rows(const IndexBatch& batch,
   // alone or inside a coalesced micro-batch sums identically).
   const index_t b = batch.batch_size();
   const index_t n = out.cols();
-#pragma omp parallel for schedule(static) if (b >= 256)
-  for (index_t s = 0; s < b; ++s) {
+  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
     float* dst = out.row(s);
     for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
       const float* src =
@@ -267,7 +267,7 @@ void EffTTTable::pool_unique_rows(const IndexBatch& batch,
 #pragma omp simd
       for (index_t j = 0; j < n; ++j) dst[j] += src[j];
     }
-  }
+  });
 }
 
 std::unique_ptr<ILookupContext> EffTTTable::make_lookup_context() const {
@@ -451,8 +451,7 @@ void EffTTTable::aggregate_unique_gradients(const IndexBatch& batch,
   }
 
   grad_agg_buf_.resize(u, n);
-#pragma omp parallel for schedule(static) if (u >= 64)
-  for (index_t i = 0; i < u; ++i) {
+  parallel_for(index_t{0}, u, u >= 64, [&](index_t i) {
     float* dst = grad_agg_buf_.row(i);
     std::fill(dst, dst + n, 0.0f);
     for (index_t t = occ_offsets_[static_cast<std::size_t>(i)];
@@ -463,7 +462,7 @@ void EffTTTable::aggregate_unique_gradients(const IndexBatch& batch,
 #pragma omp simd
       for (index_t j = 0; j < n; ++j) dst[j] += src[j];
     }
-  }
+  });
 }
 
 void EffTTTable::merge_grad_shards() {
@@ -480,8 +479,8 @@ void EffTTTable::merge_grad_shards() {
     const index_t rk = cores_.shape().rank(k);
     const index_t block =
         rk * grad_master_.core_grads[static_cast<std::size_t>(k)].cols();
-#pragma omp parallel for schedule(static) if (list.size() >= 16)
-    for (std::size_t idx = 0; idx < list.size(); ++idx) {
+    parallel_for(std::size_t{0}, list.size(), list.size() >= 16,
+                 [&](std::size_t idx) {
       const index_t ik = list[idx];
       float* dst =
           grad_master_.core_grads[static_cast<std::size_t>(k)].row(ik * rk);
@@ -495,7 +494,7 @@ void EffTTTable::merge_grad_shards() {
 #pragma omp simd
         for (index_t t = 0; t < block; ++t) dst[t] += src[t];
       }
-    }
+    });
   }
   for (const GradAccum& shard : grad_shards_) {
     grad_master_.gemms += shard.gemms;
@@ -542,8 +541,9 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
     }
     {
       TRACE_SPAN("efftt.grad_chain");
-#pragma omp parallel for schedule(dynamic, 1) if (u >= 2 * kGradShards)
-      for (int s = 0; s < kGradShards; ++s) {
+      // Shards differ in work, so they are handed out dynamically; the gemm
+      // calls inside run serially on the shard's thread.
+      const auto chain_shard = [&](int s) {
         GradAccum& acc = grad_shards_[static_cast<std::size_t>(s)];
         BackwardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
         ++acc.epoch;
@@ -558,6 +558,12 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
                   unique_slots_[static_cast<std::size_t>(i)]),
               grad_agg_buf_.row(i));
         }
+      };
+      if (fork_omp_team(u >= 2 * kGradShards)) {
+#pragma omp parallel for schedule(dynamic, 1)
+        for (int s = 0; s < kGradShards; ++s) chain_shard(s);
+      } else {
+        for (int s = 0; s < kGradShards; ++s) chain_shard(s);
       }
     }
     {
@@ -625,13 +631,13 @@ void EffTTTable::apply_update(float lr) {
       OptimizerState& opt = core_optimizers_[static_cast<std::size_t>(k)];
       opt.prepare();
       const auto& touched = grad_master_.touched[static_cast<std::size_t>(k)];
-#pragma omp parallel for schedule(static) if (touched.size() >= 64)
-      for (std::size_t t = 0; t < touched.size(); ++t) {
+      parallel_for(std::size_t{0}, touched.size(), touched.size() >= 64,
+                   [&](std::size_t t) {
         const index_t ik = touched[t];
         opt.update_region(cores_.core(k).row(ik * rk), grads.row(ik * rk),
                           static_cast<std::size_t>(ik * rk) * cols,
                           static_cast<std::size_t>(rk * cols), lr);
-      }
+      });
     }
     return;
   }

@@ -140,13 +140,13 @@ float DlrmModel::train_step(const MiniBatch& batch, float lr) {
   bce_with_logits_backward(logits, batch.labels, grad_logits);
 
   Matrix grad_interact;
-  top_mlp_.backward_and_update(grad_logits, grad_interact, lr);
+  top_mlp_.backward_and_update(grad_logits, &grad_interact, lr);
 
   std::vector<Matrix> feature_grads;
   interaction_.backward(grad_interact, feature_grads);
 
-  Matrix grad_dense;  // gradient to raw dense inputs, unused
-  bottom_mlp_.backward_and_update(feature_grads[0], grad_dense, lr);
+  // Raw dense inputs have no parameters, so their gradient is not computed.
+  bottom_mlp_.backward_and_update(feature_grads[0], nullptr, lr);
 
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     tables_[t]->backward_and_update(batch.sparse[t], feature_grads[t + 1], lr);

@@ -1,6 +1,7 @@
 #include "dlrm/interaction.hpp"
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "tensor/vector_ops.hpp"
 
 namespace elrec {
@@ -28,20 +29,18 @@ void FeatureInteraction::forward_frozen(
                 "interaction feature shape mismatch");
   }
 
-  // Stack features sample-major: stacked row (s * F + f) = features[f][s].
+  // Each sample stacks its features sample-major (stacked row (s * F + f) =
+  // features[f][s]), then fills its output row from them; samples write
+  // disjoint rows, so the loop splits across threads.
   stacked_scratch.resize(b * num_features_, dim_);
-  for (index_t f = 0; f < num_features_; ++f) {
-    const Matrix& src = *features[static_cast<std::size_t>(f)];
-    for (index_t s = 0; s < b; ++s) {
-      copy({src.row(s), static_cast<std::size_t>(dim_)},
+  out.resize(b, output_dim());
+  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
+    for (index_t f = 0; f < num_features_; ++f) {
+      copy({features[static_cast<std::size_t>(f)]->row(s),
+            static_cast<std::size_t>(dim_)},
            {stacked_scratch.row(s * num_features_ + f),
             static_cast<std::size_t>(dim_)});
     }
-  }
-
-  out.resize(b, output_dim());
-#pragma omp parallel for schedule(static) if (b >= 256)
-  for (index_t s = 0; s < b; ++s) {
     float* dst = out.row(s);
     // Dense passthrough.
     const float* dense = stacked_scratch.row(s * num_features_ + 0);
@@ -56,7 +55,7 @@ void FeatureInteraction::forward_frozen(
                          {fj, static_cast<std::size_t>(dim_)});
       }
     }
-  }
+  });
 }
 
 void FeatureInteraction::backward(const Matrix& grad_out,
@@ -66,12 +65,11 @@ void FeatureInteraction::backward(const Matrix& grad_out,
               "grad_out shape mismatch");
   const index_t b = cached_batch_;
   grads.resize(static_cast<std::size_t>(num_features_));
-  for (auto& g : grads) {
-    g.resize(b, dim_);
-    g.set_zero();
-  }
+  for (auto& g : grads) g.resize(b, dim_);  // zero-filled
 
-  for (index_t s = 0; s < b; ++s) {
+  // Sample s writes only row s of every gradient, so samples split across
+  // threads; each row's adds keep their serial order.
+  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
     const float* gout = grad_out.row(s);
     // Dense passthrough gradient.
     float* g0 = grads[0].row(s);
@@ -92,7 +90,7 @@ void FeatureInteraction::backward(const Matrix& grad_out,
         }
       }
     }
-  }
+  });
 }
 
 }  // namespace elrec

@@ -79,7 +79,7 @@ void Mlp::forward_frozen(const Matrix& in, Matrix& out, Matrix& scratch_a,
   }
 }
 
-void Mlp::backward_and_update(const Matrix& grad_out, Matrix& grad_in,
+void Mlp::backward_and_update(const Matrix& grad_out, Matrix* grad_in,
                               float lr) {
   const int n = num_layers();
   ELREC_CHECK(grad_out.rows() == cached_batch_ &&
@@ -92,11 +92,12 @@ void Mlp::backward_and_update(const Matrix& grad_out, Matrix& grad_in,
     Matrix& w = weights_[static_cast<std::size_t>(l)];
     auto& bias = biases_[static_cast<std::size_t>(l)];
 
-    // Gradient to the layer input (needed before the weight update).
+    // Gradient to the layer input (needed before the weight update); the
+    // first layer's only when the caller asks for it.
     if (l > 0) {
       matmul(grad, w, grad_prev, Trans::kNo, Trans::kYes);
-    } else {
-      matmul(grad, w, grad_in, Trans::kNo, Trans::kYes);
+    } else if (grad_in != nullptr) {
+      matmul(grad, w, *grad_in, Trans::kNo, Trans::kYes);
     }
 
     if (weight_opt_[static_cast<std::size_t>(l)].config().kind ==

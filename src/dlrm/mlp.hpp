@@ -39,9 +39,11 @@ class Mlp {
   void forward_frozen(const Matrix& in, Matrix& out, Matrix& scratch_a,
                       Matrix& scratch_b) const;
 
-  /// Backward for the cached forward: grad_out is (B x output_dim);
-  /// grad_in resized to (B x input_dim). Parameters are updated with SGD(lr).
-  void backward_and_update(const Matrix& grad_out, Matrix& grad_in, float lr);
+  /// Backward for the cached forward: grad_out is (B x output_dim). When
+  /// grad_in is non-null it is resized to (B x input_dim) and receives the
+  /// input gradient; null skips that GEMM. Parameters are updated with the
+  /// layer optimizers at rate lr, identically either way.
+  void backward_and_update(const Matrix& grad_out, Matrix* grad_in, float lr);
 
   std::size_t parameter_count() const;
 

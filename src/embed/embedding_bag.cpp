@@ -1,5 +1,6 @@
 #include "embed/embedding_bag.hpp"
 
+#include "common/parallel.hpp"
 #include "tensor/vector_ops.hpp"
 
 namespace elrec {
@@ -22,15 +23,14 @@ void EmbeddingBag::forward(const IndexBatch& batch, Matrix& out) {
   const index_t b = batch.batch_size();
   const index_t d = dim();
   out.resize(b, d);
-#pragma omp parallel for schedule(static) if (b >= 256)
-  for (index_t s = 0; s < b; ++s) {
+  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
     float* dst = out.row(s);
     for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
       const float* src = weights_.row(batch.indices[static_cast<std::size_t>(p)]);
 #pragma omp simd
       for (index_t j = 0; j < d; ++j) dst[j] += src[j];
     }
-  }
+  });
 }
 
 void EmbeddingBag::lookup(const IndexBatch& batch, Matrix& out,

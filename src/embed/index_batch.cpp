@@ -1,6 +1,7 @@
 #include "embed/index_batch.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -41,16 +42,22 @@ void IndexBatch::validate(index_t num_rows) const {
 }
 
 UniqueIndexMap build_unique_index_map(const std::vector<index_t>& indices) {
+  // One sort of (value, position) pairs; a single walk then gives each run
+  // of equal values the next rank and scatters it to the run's positions.
+  const std::size_t n = indices.size();
+  std::vector<std::pair<index_t, index_t>> keyed(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keyed[i] = {indices[i], static_cast<index_t>(i)};
+  }
+  std::sort(keyed.begin(), keyed.end());
   UniqueIndexMap map;
-  map.unique = indices;
-  std::sort(map.unique.begin(), map.unique.end());
-  map.unique.erase(std::unique(map.unique.begin(), map.unique.end()),
-                   map.unique.end());
-  map.occurrence.resize(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto it =
-        std::lower_bound(map.unique.begin(), map.unique.end(), indices[i]);
-    map.occurrence[i] = static_cast<index_t>(it - map.unique.begin());
+  map.occurrence.resize(n);
+  for (const auto& [value, pos] : keyed) {
+    if (map.unique.empty() || map.unique.back() != value) {
+      map.unique.push_back(value);
+    }
+    map.occurrence[static_cast<std::size_t>(pos)] =
+        static_cast<index_t>(map.unique.size() - 1);
   }
   return map;
 }

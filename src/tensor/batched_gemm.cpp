@@ -1,5 +1,8 @@
 #include "tensor/batched_gemm.hpp"
 
+#include <algorithm>
+
+#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 
 namespace elrec {
@@ -20,19 +23,15 @@ void batched_gemm(const BatchedGemmShape& shape,
               "batched_gemm pointer lists must have equal length");
   TRACE_SPAN("tensor.batched_gemm");
 
-  std::size_t executed = 0;
-// `executed` is an integral count — order-free; the float work is
-// per-product, never reduced across threads, so run-to-run bitwise
-// output is unaffected.
-// NOLINTNEXTLINE(elrec-nondeterministic-reduction): integral count only
-#pragma omp parallel for schedule(static) reduction(+ : executed) \
-    if (a.size() >= 64)
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (c[i] == nullptr) continue;
+  // Each product writes only its own C; the gemm calls inside the team run
+  // serially (fork_omp_team is false in a parallel region).
+  parallel_for(std::size_t{0}, a.size(), a.size() >= 64, [&](std::size_t i) {
+    if (c[i] == nullptr) return;
     gemm(shape.trans_a, shape.trans_b, shape.m, shape.n, shape.k, shape.alpha,
          a[i], shape.lda, b[i], shape.ldb, shape.beta, c[i], shape.ldc);
-    ++executed;
-  }
+  });
+  const auto executed = static_cast<std::size_t>(
+      std::count_if(c.begin(), c.end(), [](float* p) { return p != nullptr; }));
   // One relaxed add per counter per launch; exact totals, no per-product
   // contention.
   auto& stats = batched_gemm_stats();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/parallel.hpp"
+
 namespace elrec {
 namespace {
 
@@ -239,6 +241,17 @@ void gemm_nt_row(index_t n, index_t k, float alpha,
   }
 }
 
+// <arow, x> over n entries. A function of its own so the SIMD reduction sees
+// plain pointer arguments; inlined into a lambda that captures `x` by
+// reference, GCC 12 leaves the loop scalar.
+inline float row_dot(index_t n, const float* ELREC_RESTRICT arow,
+                     const float* ELREC_RESTRICT x) {
+  float acc = 0.0f;
+#pragma omp simd reduction(+ : acc)
+  for (index_t j = 0; j < n; ++j) acc += arow[j] * x[j];
+  return acc;
+}
+
 // Generic element accessor honoring transposition (TT fallback only).
 inline float elem(const float* p, index_t ld, Trans t, index_t r, index_t c) {
   return t == Trans::kNo ? p[r * ld + c] : p[c * ld + r];
@@ -254,19 +267,18 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
 
   // Scale C by beta first; the accumulation kernels then just add.
   if (beta == 0.0f) {
-#pragma omp parallel for schedule(static) if (m >= 4 * kBlockM)
-    for (index_t i = 0; i < m; ++i) {
+    parallel_for(index_t{0}, m, m >= 4 * kBlockM, [&](index_t i) {
       std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
+    });
   } else if (beta != 1.0f) {
-#pragma omp parallel for schedule(static) if (m >= 4 * kBlockM)
-    for (index_t i = 0; i < m; ++i) {
+    parallel_for(index_t{0}, m, m >= 4 * kBlockM, [&](index_t i) {
       float* ELREC_RESTRICT crow = c + i * ldc;
 #pragma omp simd
       for (index_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
+    });
   }
   if (k == 0 || alpha == 0.0f) return;
+  const index_t row_blocks = (m + kBlockM - 1) / kBlockM;
 
   if (trans_a == Trans::kNo && trans_b == Trans::kNo) {
     // Small-matrix fast path — the tiny TT shapes batched_gemm launches
@@ -278,8 +290,8 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
     // Blocked NN path — the hot case for every EL-Rec kernel. Threads split
     // disjoint row blocks and k stays sequential per C tile, so results do
     // not depend on the thread count.
-#pragma omp parallel for schedule(static) if (m >= 2 * kBlockM)
-    for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
+    parallel_for(index_t{0}, row_blocks, m >= 2 * kBlockM, [&](index_t ib) {
+      const index_t i0 = ib * kBlockM;
       const index_t mb = std::min(kBlockM, m - i0);
       for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
         const index_t kb = std::min(kBlockK, k - k0);
@@ -289,7 +301,7 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
                         b + k0 * ldb + j0, ldb, c + i0 * ldc + j0, ldc);
         }
       }
-    }
+    });
     return;
   }
 
@@ -300,8 +312,8 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
     }
     // k is the large dimension here (activation gradients: k == batch), so
     // block it for cache reuse of the C tile accumulators.
-#pragma omp parallel for schedule(static) if (m >= 2 * kBlockM)
-    for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
+    parallel_for(index_t{0}, row_blocks, m >= 2 * kBlockM, [&](index_t ib) {
+      const index_t i0 = ib * kBlockM;
       const index_t mb = std::min(kBlockM, m - i0);
       for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
         const index_t kb = std::min(kBlockK, k - k0);
@@ -311,15 +323,14 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
                         b + k0 * ldb + j0, ldb, c + i0 * ldc + j0, ldc);
         }
       }
-    }
+    });
     return;
   }
 
   if (trans_a == Trans::kNo && trans_b == Trans::kYes) {
-#pragma omp parallel for schedule(static) if (m >= 2 * kBlockM)
-    for (index_t i = 0; i < m; ++i) {
+    parallel_for(index_t{0}, m, m >= 2 * kBlockM, [&](index_t i) {
       gemm_nt_row(n, k, alpha, a + i * lda, b, ldb, c + i * ldc);
-    }
+    });
     return;
   }
 
@@ -350,22 +361,19 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c, Trans trans_a,
 void gemv(Trans trans_a, index_t m, index_t n, float alpha, const float* a,
           index_t lda, const float* x, float beta, float* y) {
   if (trans_a == Trans::kNo) {
-#pragma omp parallel for schedule(static) if (m >= 512)
-    for (index_t i = 0; i < m; ++i) {
-      const float* ELREC_RESTRICT arow = a + i * lda;
-      float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-      for (index_t j = 0; j < n; ++j) acc += arow[j] * x[j];
+    parallel_for(index_t{0}, m, m >= 512, [&](index_t i) {
+      const float acc = row_dot(n, a + i * lda, x);
       y[i] = beta * (beta == 0.0f ? 0.0f : y[i]) + alpha * acc;
-    }
+    });
     return;
   }
   // Transposed: y[j] += alpha * A[i, j] * x[i]. Threads own disjoint j
   // ranges and each walks all of A's rows, so the i-order (and therefore
   // the float sum order) is identical at any thread count.
   constexpr index_t kColChunk = 256;
-#pragma omp parallel for schedule(static) if (n >= 2 * kColChunk)
-  for (index_t j0 = 0; j0 < n; j0 += kColChunk) {
+  const index_t col_chunks = (n + kColChunk - 1) / kColChunk;
+  parallel_for(index_t{0}, col_chunks, n >= 2 * kColChunk, [&](index_t jc) {
+    const index_t j0 = jc * kColChunk;
     const index_t j1 = std::min(j0 + kColChunk, n);
     if (beta == 0.0f) {
       std::fill(y + j0, y + j1, 0.0f);
@@ -380,7 +388,7 @@ void gemv(Trans trans_a, index_t m, index_t n, float alpha, const float* a,
 #pragma omp simd
       for (index_t j = j0; j < j1; ++j) y[j] += xi * arow[j];
     }
-  }
+  });
 }
 
 }  // namespace elrec

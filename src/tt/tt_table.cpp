@@ -1,5 +1,8 @@
 #include "tt/tt_table.hpp"
 
+#include <algorithm>
+
+#include "common/parallel.hpp"
 #include "tensor/gemm.hpp"
 
 namespace elrec {
@@ -48,14 +51,15 @@ void TTTable::forward(const IndexBatch& batch, Matrix& out) {
   const index_t n = dim();
   out.resize(b, n);
 
-#pragma omp parallel if (b >= 256)
-  {
+  // Samples go in fixed chunks so the per-row scratch is allocated once per
+  // chunk, not once per sample.
+  constexpr index_t kChunk = 64;
+  parallel_for(index_t{0}, (b + kChunk - 1) / kChunk, b >= 256, [&](index_t c) {
     std::vector<index_t> parts(static_cast<std::size_t>(
         cores_.shape().num_cores()));
     std::vector<float> sa, sb;
     std::vector<float> row(static_cast<std::size_t>(n));
-#pragma omp for schedule(static)
-    for (index_t s = 0; s < b; ++s) {
+    for (index_t s = c * kChunk; s < std::min(b, (c + 1) * kChunk); ++s) {
       float* dst = out.row(s);
       for (index_t ppos = batch.bag_begin(s); ppos < batch.bag_end(s); ++ppos) {
         // TT-Rec baseline: full recompute per occurrence, no reuse.
@@ -64,7 +68,7 @@ void TTTable::forward(const IndexBatch& batch, Matrix& out) {
         for (index_t j = 0; j < n; ++j) dst[j] += row[j];
       }
     }
-  }
+  });
 }
 
 void TTTable::backward_and_update(const IndexBatch& batch,

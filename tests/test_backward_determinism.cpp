@@ -4,8 +4,11 @@
 // the same table on the same stream must produce byte-identical cores at any
 // thread count. PR 1's crash-safe checkpoint/resume replays batches and
 // compares parameters exactly — this property is what makes that valid.
+// The DLRM feature interaction, split across threads by sample, is held to
+// the same contract.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #ifdef _OPENMP
@@ -13,6 +16,7 @@
 #endif
 
 #include "core/eff_tt_table.hpp"
+#include "dlrm/interaction.hpp"
 #include "embed/index_batch.hpp"
 
 namespace elrec {
@@ -133,6 +137,60 @@ TEST_F(BackwardDeterminismTest, RepeatedRunsAreBitwiseReproducible) {
   EffTTTable a = train(4, batches_, grads_, EffTTConfig{});
   EffTTTable b = train(4, batches_, grads_, EffTTConfig{});
   expect_cores_bitwise_equal(a, b);
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+struct InteractionRun {
+  Matrix out;
+  Matrix frozen_out;
+  std::vector<Matrix> grads;
+};
+
+InteractionRun run_interaction(int threads, const std::vector<Matrix>& feats,
+                               const Matrix& grad_out) {
+  set_threads(threads);
+  std::vector<const Matrix*> ptrs;
+  for (const Matrix& f : feats) ptrs.push_back(&f);
+  FeatureInteraction inter(static_cast<index_t>(feats.size()), feats[0].cols());
+  InteractionRun run;
+  inter.forward(ptrs, run.out);
+  inter.backward(grad_out, run.grads);
+  Matrix stacked;
+  inter.forward_frozen(ptrs, run.frozen_out, stacked);
+  set_threads(1);
+  return run;
+}
+
+TEST(InteractionDeterminism, ForwardAndBackwardBitwiseAt1And3Threads) {
+  // Batch 512 is above the sample-parallel threshold (256).
+  constexpr index_t kBatch = 512;
+  constexpr index_t kFeatures = 9;
+  Prng rng(17);
+  std::vector<Matrix> feats(kFeatures);
+  for (Matrix& f : feats) {
+    f.resize(kBatch, kDim);
+    f.fill_normal(rng);
+  }
+  FeatureInteraction shape(kFeatures, kDim);
+  Matrix grad_out(kBatch, shape.output_dim());
+  grad_out.fill_normal(rng);
+  // Exact zeros exercise the skipped-pair path.
+  for (index_t i = 0; i < grad_out.size(); i += 7) grad_out.data()[i] = 0.0f;
+
+  const InteractionRun t1 = run_interaction(1, feats, grad_out);
+  const InteractionRun t3 = run_interaction(3, feats, grad_out);
+  EXPECT_TRUE(bitwise_equal(t1.out, t3.out));
+  EXPECT_TRUE(bitwise_equal(t1.frozen_out, t3.frozen_out));
+  EXPECT_TRUE(bitwise_equal(t1.out, t1.frozen_out));
+  ASSERT_EQ(t1.grads.size(), t3.grads.size());
+  for (std::size_t f = 0; f < t1.grads.size(); ++f) {
+    EXPECT_TRUE(bitwise_equal(t1.grads[f], t3.grads[f])) << "feature " << f;
+  }
 }
 
 }  // namespace

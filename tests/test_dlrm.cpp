@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/eff_tt_table.hpp"
 #include "tt/tt_svd.hpp"
@@ -59,7 +60,7 @@ TEST(Mlp, WeightGradientsMatchFiniteDifferences) {
   Mlp updated = mlp;
   Matrix out, gin;
   updated.forward(in, out);
-  updated.backward_and_update(lossw, gin, 1.0f);  // lr=1: grad = old - new
+  updated.backward_and_update(lossw, &gin, 1.0f);  // lr=1: grad = old - new
 
   const float eps = 1e-3f;
   for (int l = 0; l < 3; ++l) {
@@ -91,7 +92,7 @@ TEST(Mlp, InputGradientMatchesFiniteDifferences) {
   Mlp work = mlp;
   Matrix out, gin;
   work.forward(in, out);
-  work.backward_and_update(lossw, gin, 0.0f);  // lr=0: params unchanged
+  work.backward_and_update(lossw, &gin, 0.0f);  // lr=0: params unchanged
 
   const float eps = 1e-3f;
   for (index_t e = 0; e < in.size(); ++e) {
@@ -110,6 +111,35 @@ TEST(Mlp, InputGradientMatchesFiniteDifferences) {
     const double fd = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(gin.data()[e], fd, 5e-2 * (1.0 + std::abs(fd)));
   }
+}
+
+TEST(Mlp, SkippingInputGradientLeavesUpdateUnchanged) {
+  Prng rng(6);
+  const Mlp base({13, 32, 16}, rng);
+  Matrix in(64, 13);
+  in.fill_normal(rng);
+  Matrix grad_out(64, 16);
+  grad_out.fill_normal(rng);
+  auto params_after_step = [&](Matrix* grad_in) {
+    Mlp mlp = base;
+    Matrix out;
+    mlp.forward(in, out);
+    mlp.backward_and_update(grad_out, grad_in, 0.1f);
+    std::vector<float> params;
+    mlp.visit_parameters([&](float* p, std::size_t n) {
+      params.insert(params.end(), p, p + n);
+    });
+    return params;
+  };
+  Matrix gin;
+  const std::vector<float> with = params_after_step(&gin);
+  const std::vector<float> without = params_after_step(nullptr);
+  EXPECT_EQ(gin.rows(), 64);
+  EXPECT_EQ(gin.cols(), 13);
+  ASSERT_EQ(with.size(), without.size());
+  EXPECT_EQ(std::memcmp(with.data(), without.data(),
+                        with.size() * sizeof(float)),
+            0);
 }
 
 TEST(Interaction, OutputLayoutAndValues) {

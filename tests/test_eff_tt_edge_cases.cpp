@@ -17,6 +17,21 @@ struct ShapeCase {
   index_t num_rows;
 };
 
+// Prints the factors, e.g. "m3x3x3_n2x2x2_r1x1x1x1". Without it gtest prints
+// the raw bytes, which hold the vectors' heap addresses, so the test names
+// changed from one build to the next.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  const auto dims = [os](const std::vector<index_t>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+  };
+  *os << "m";
+  dims(c.row_factors);
+  *os << "_n";
+  dims(c.col_factors);
+  *os << "_r";
+  dims(c.ranks);
+}
+
 class EffTTShapeSweep : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(EffTTShapeSweep, ForwardMatchesMaterialization) {

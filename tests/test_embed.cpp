@@ -2,6 +2,9 @@
 // the dense EmbeddingBag baseline (forward pooling + SGD backward).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "data/zipf.hpp"
 #include "embed/embedding_bag.hpp"
 #include "embed/index_batch.hpp"
 
@@ -59,6 +62,50 @@ TEST(UniqueIndexMap, EmptyInput) {
   const auto m = build_unique_index_map({});
   EXPECT_TRUE(m.unique.empty());
   EXPECT_TRUE(m.occurrence.empty());
+}
+
+// The previous implementation: sort + unique, then one lower_bound per
+// occurrence.
+UniqueIndexMap reference_unique_map(const std::vector<index_t>& indices) {
+  UniqueIndexMap map;
+  map.unique = indices;
+  std::sort(map.unique.begin(), map.unique.end());
+  map.unique.erase(std::unique(map.unique.begin(), map.unique.end()),
+                   map.unique.end());
+  map.occurrence.resize(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto it =
+        std::lower_bound(map.unique.begin(), map.unique.end(), indices[i]);
+    map.occurrence[i] = static_cast<index_t>(it - map.unique.begin());
+  }
+  return map;
+}
+
+void expect_matches_reference(const std::vector<index_t>& indices) {
+  const UniqueIndexMap got = build_unique_index_map(indices);
+  const UniqueIndexMap want = reference_unique_map(indices);
+  EXPECT_EQ(got.unique, want.unique);
+  EXPECT_EQ(got.occurrence, want.occurrence);
+}
+
+TEST(UniqueIndexMap, MatchesSortLowerBoundReference) {
+  Prng rng(3);
+  const ZipfSampler zipf(100000, 1.05, rng);
+  std::vector<index_t> skewed(8192);
+  for (index_t& v : skewed) v = zipf.sample(rng);
+  expect_matches_reference(skewed);
+  expect_matches_reference({});
+  expect_matches_reference({42});
+  expect_matches_reference(std::vector<index_t>(1000, 7));
+  std::vector<index_t> descending(500);
+  for (std::size_t i = 0; i < descending.size(); ++i) {
+    descending[i] = static_cast<index_t>(2000 - 3 * i);
+  }
+  expect_matches_reference(descending);
+  // Descending with every value repeated.
+  std::vector<index_t> repeated;
+  for (index_t v : descending) repeated.insert(repeated.end(), 3, v);
+  expect_matches_reference(repeated);
 }
 
 TEST(EmbeddingBag, ForwardGathersRows) {

@@ -180,6 +180,41 @@ TEST(NondeterministicReduction, NolintNextlineOnPragma) {
                   .empty());
 }
 
+TEST(OmpParallelIf, FlagsIfClauseOnParallelPragmas) {
+  EXPECT_EQ(rules_of(lint_source(
+                "src/x.cpp",
+                "#pragma omp parallel for schedule(static) if (n >= 256)\n"
+                "for (int i = 0; i < n; ++i) v[i] = 0;\n")),
+            std::vector<std::string>{"omp-parallel-if"});
+  EXPECT_EQ(rules_of(lint_source("src/x.cpp", "#pragma omp parallel if(b > 1)\n")),
+            std::vector<std::string>{"omp-parallel-if"});
+  // A clause on a backslash-continued line is still on the directive.
+  const auto fs = lint_source("src/x.cpp",
+                              "int a;\n"
+                              "#pragma omp parallel for schedule(static) \\\n"
+                              "    if (a.size() >= 64)\n");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "omp-parallel-if");
+  EXPECT_EQ(fs[0].line, 2u);
+}
+
+TEST(OmpParallelIf, SimdAndGuardedPragmasAreClean) {
+  // SIMD loops never fork a team.
+  EXPECT_TRUE(lint_source("src/x.cpp", "#pragma omp simd if (n > 8)\n").empty());
+  // The guard idiom: a plain branch decides, the pragma carries no clause.
+  EXPECT_TRUE(lint_source("src/x.cpp",
+                          "if (fork_omp_team(n >= 256)) {\n"
+                          "#pragma omp parallel for schedule(dynamic, 1)\n"
+                          "  for (int i = 0; i < n; ++i) f(i);\n"
+                          "}\n")
+                  .empty());
+  // `if` inside another word is not a clause.
+  EXPECT_TRUE(lint_source("src/x.cpp",
+                          "#pragma omp parallel for firstprivate(modif) "
+                          "num_threads(diff(x))\n")
+                  .empty());
+}
+
 TEST(NolintRationale, ReasonlessMarkersAreFindings) {
   // A reason-less marker is itself a finding, even though bare NOLINT
   // suppresses "all rules" — the rationale rule is exempt from NOLINT.
@@ -682,10 +717,10 @@ TEST(Reporter, JsonParsesAndCarriesFields) {
 
 TEST(Registry, BuiltinCatalogue) {
   const RuleRegistry r = RuleRegistry::with_builtin_rules();
-  EXPECT_EQ(r.rules().size(), 8u);
+  EXPECT_EQ(r.rules().size(), 9u);
   for (const char* name :
-       {"determinism-rand", "nondeterministic-reduction", "atomics-ordering",
-        "iostream-in-lib", "lock-discipline", "header-hygiene",
+       {"determinism-rand", "nondeterministic-reduction", "omp-parallel-if",
+        "atomics-ordering", "iostream-in-lib", "lock-discipline", "header-hygiene",
         "trace-span-coverage", "nolint-rationale"}) {
     EXPECT_NE(r.find(name), nullptr) << name;
     EXPECT_FALSE(r.find(name)->description().empty());

@@ -189,8 +189,7 @@ TEST(MlpOptimizer, AdagradAndMomentumTrainQuadratic) {
         loss += 0.5 * diff * diff;
         grad.at(i, 0) = diff / 8.0f;
       }
-      Matrix gin;
-      mlp.backward_and_update(grad, gin,
+      mlp.backward_and_update(grad, nullptr,
                               kind == OptimizerKind::kAdagrad ? 0.5f : 0.05f);
       last = loss / 8.0;
     }

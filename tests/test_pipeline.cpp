@@ -5,6 +5,8 @@
 // staleness bug.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "pipeline/allreduce.hpp"
@@ -214,13 +216,40 @@ TEST(PipelineTrainerTest, DisablingCacheReproducesRawBug) {
   auto oracle = make_stores({{24, 3}}, 123);
   testutil::run_sequential_oracle(oracle, batches, decay_compute(), 0.3f);
 
+  // The worker holds batch b's compute until the server has started loading
+  // batch b+1, so that pull cannot see b's update: the stale read is forced
+  // rather than left to thread timing (a fast worker on a loaded machine
+  // otherwise kept the queue empty and the rows fresh).
+  const index_t num_batches = 40;
+  std::atomic<index_t> requested{-1};
+  const BatchSource list = list_source(batches);
+  const BatchSource source = [&](index_t b, MiniBatch& batch,
+                                 std::vector<std::vector<index_t>>& unique) {
+    list(b, batch, unique);
+    requested.store(b, std::memory_order_release);
+  };
+  const ComputeStep decay = decay_compute();
+  const ComputeStep compute =
+      [&](index_t b, const MiniBatch& batch,
+          const std::vector<std::vector<index_t>>& unique,
+          const std::vector<Matrix>& rows, std::vector<Matrix>& grads) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (b + 1 < num_batches &&
+               requested.load(std::memory_order_acquire) <= b &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        decay(b, batch, unique, rows, grads);
+      };
+
   auto stores = make_stores({{24, 3}}, 123);
   PipelineConfig cfg;
   cfg.queue_capacity = 8;
   cfg.lr = 0.3f;
   cfg.use_embedding_cache = false;
   PipelineTrainer trainer(stores.ptrs(), cfg);
-  trainer.run(40, list_source(batches), decay_compute());
+  trainer.run(num_batches, source, compute);
   EXPECT_GT(Matrix::max_abs_diff(stores[0].weights(), oracle[0].weights()),
             1e-3f);
 }

@@ -3,7 +3,10 @@
 // pointer-gap skipping, gemv, and vector ops.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <tuple>
 
@@ -340,6 +343,35 @@ TEST(VectorOps, ReluAndBackward) {
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[1], 0.0f);
   EXPECT_FLOAT_EQ(dx[2], 1.0f);
+}
+
+TEST(VectorOps, ReluBackwardMatchesScalarReferenceOnSpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials{nan,  -nan, 0.0f, -0.0f, den,
+                                    -den, inf,  -inf, 1.5f,  -1.5f};
+  // Every (x, dy) pair: 100 elements, so the SIMD body and its tail both run.
+  std::vector<float> x, dy;
+  for (float a : specials) {
+    for (float g : specials) {
+      x.push_back(a);
+      dy.push_back(g);
+    }
+  }
+  std::vector<float> dx(x.size(), 7.0f);
+  relu_backward(x, dy, dx);
+  std::vector<float> in_place = dy;  // dx may alias dy
+  relu_backward(x, in_place, in_place);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    float want = 0.0f;
+    if (x[i] > 0.0f) want = dy[i];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]),
+              std::bit_cast<std::uint32_t>(want))
+        << "x=" << x[i] << " dy=" << dy[i];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place[i]),
+              std::bit_cast<std::uint32_t>(want));
+  }
 }
 
 TEST(VectorOps, SigmoidStableAtExtremes) {
