@@ -2,7 +2,7 @@
 // checkpoint it, restore one copy per shard (TT compression makes the full
 // model per node cheap), build a 3-shard tier with replication-2 placement
 // behind the failover router, serve a Zipf stream, kill a shard mid-load,
-// and let the health ping bring the revived shard back into rotation.
+// then revive it: the router routes to it again from the next request.
 //
 //   ./shard_demo            (~10s, 20k requests, kill + revive drill)
 //   ./shard_demo --smoke    tiny run for scripts/check.sh --shard
@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
 
   ShardRouterConfig rcfg;
   rcfg.replication = 2;
-  rcfg.ping_interval = std::chrono::milliseconds(5);
   ShardRouter router(*fallback, raw, rcfg);
 
   // Statistics-driven placement: each shard warms its owned hot partition
@@ -181,16 +180,16 @@ int main(int argc, char** argv) {
               wall_s, static_cast<double>(qstats.served) / wall_s);
   std::printf("latency p50 %.0fus  p95 %.0fus  p99 %.0fus\n", total.p50,
               total.p95, total.p99);
-  std::printf("router: %llu scatter calls, %llu retries, %llu failovers, "
+  std::uint64_t shard_calls = 0;
+  for (const auto& s : servers) shard_calls += s->calls_served();
+  std::printf("router: %llu shard calls, %llu retries, %llu failovers, "
               "%llu fallback rows, %llu shed\n",
-              static_cast<unsigned long long>(rs.scatter_calls),
+              static_cast<unsigned long long>(shard_calls),
               static_cast<unsigned long long>(rs.retries),
               static_cast<unsigned long long>(rs.failovers),
               static_cast<unsigned long long>(rs.fallback_rows),
               static_cast<unsigned long long>(rs.shed));
-  std::printf("health: %llu markdowns, %llu markups; shard %d live: %s\n",
-              static_cast<unsigned long long>(rs.markdowns),
-              static_cast<unsigned long long>(rs.markups), victim,
+  std::printf("shard %d live: %s\n", victim,
               router.shard_live(victim) ? "yes" : "no");
   if (qstats.accepted != qstats.served) {
     std::printf("FAIL: %zu accepted requests were lost\n",
@@ -198,17 +197,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Phase 4: revive; the health ping readmits the shard. --------------
+  // --- Phase 4: revive; the next request is routed to the shard again. ---
   servers[static_cast<std::size_t>(victim)]->revive();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!router.shard_live(victim) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const std::uint64_t calls_before =
+      servers[static_cast<std::size_t>(victim)]->calls_served();
+  {
+    RequestScheduler rejoin(router, qcfg);
+    for (std::size_t r = 0; r < 200; ++r) {
+      RankingRequest req;
+      req.dense.assign(static_cast<std::size_t>(spec.num_dense), 0.5f);
+      req.sparse.resize(static_cast<std::size_t>(router.num_tables()));
+      for (index_t t = 0; t < router.num_tables(); ++t) {
+        req.sparse[static_cast<std::size_t>(t)].push_back(
+            stats_data.sampler(t).sample(rng));
+      }
+      (void)rejoin.submit_blocking(req);
+    }
   }
-  std::printf("revived shard %d; router sees it %s\n", victim,
-              router.shard_live(victim) ? "live (rejoined)" : "STILL DOWN");
-  if (!router.shard_live(victim)) return 1;
+  const bool rejoined =
+      servers[static_cast<std::size_t>(victim)]->calls_served() > calls_before;
+  std::printf("revived shard %d; %s\n", victim,
+              rejoined ? "it serves again (rejoined)" : "STILL no calls");
+  if (!rejoined) return 1;
 
   const std::string env_err = FaultInjector::instance().env_config_error();
   if (!env_err.empty()) {

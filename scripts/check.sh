@@ -95,7 +95,7 @@ fi
 
 if [[ "$MODE" == "--shard" ]]; then
   echo "== sharded serving smoke: 3 shards + failover router, one kill =="
-  # shard_demo --smoke routes 5k requests through the scatter/gather tier,
+  # shard_demo --smoke routes 5k requests through the failover router,
   # kills a shard mid-stream, and exits non-zero unless every accepted
   # request is answered and the revived shard rejoins. ELREC_FAULT_SITES
   # additionally sprinkles retryable faults over the serve path to exercise

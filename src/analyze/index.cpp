@@ -762,7 +762,7 @@ class Extractor {
 
     if (name == "try_pop_for" || name == "try_push_for") {
       // A literal-zero timeout is a non-blocking probe by contract
-      // (ShardChannel::submit, RequestScheduler::submit).
+      // (RequestScheduler::submit).
       const auto args = arg_ranges(open, close);
       if (!args.empty()) {
         const auto& [db, de] = args.back();

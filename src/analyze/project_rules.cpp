@@ -5,9 +5,10 @@
 //                          is reported with the full witness path (file,
 //                          line, call chain per edge).
 //   blocking-under-lock  — no blocking primitive (deadline queue ops,
-//                          condvar waits, sleeps, a blocking ShardChannel
-//                          call) may be reachable — directly or through
-//                          calls — while a RAII guard scope is open.
+//                          condvar waits, sleeps) may be reachable —
+//                          directly or through calls, e.g. a blocking
+//                          RequestScheduler::submit_blocking — while a
+//                          RAII guard scope is open.
 //                          Exemptions (DESIGN.md §9): a condvar wait that
 //                          names the open guard releases it; try_push_for/
 //                          try_pop_for with a literal-zero timeout is a
@@ -101,7 +102,7 @@ const std::map<std::string, int>& layer_ranks() {
   return kRanks;
 }
 
-// "src/shard/transport.cpp" -> "shard"; "" when not under src/.
+// "src/shard/shard_router.cpp" -> "shard"; "" when not under src/.
 std::string subsystem_of_path(std::string_view path) {
   const std::size_t src = path.rfind("src/");
   if (src == std::string_view::npos) return {};
@@ -112,7 +113,7 @@ std::string subsystem_of_path(std::string_view path) {
   return std::string(rest.substr(0, slash));
 }
 
-// "shard/transport.hpp" -> "shard" (project headers are included
+// "shard/shard_router.hpp" -> "shard" (project headers are included
 // relative to src/); "" for flat includes.
 std::string subsystem_of_header(std::string_view header) {
   const std::size_t slash = header.find('/');

@@ -36,10 +36,10 @@
 
 namespace elrec {
 
-/// One promotable serving generation. Members are ordered so destruction
-/// tears the tier down outermost-first: the router (joins its ping thread)
-/// before the shard servers (join their workers) before the sessions the
-/// servers borrow.
+/// One promotable serving generation. The tier runs no threads of its
+/// own; members are ordered so destruction tears it down outermost-first —
+/// the router before the shard servers it calls, before the sessions the
+/// servers borrow — and nothing outlives what it references.
 struct ServingGeneration {
   std::uint64_t id = 0;
   std::string checkpoint_path;

@@ -1,6 +1,7 @@
 #include "serve/inference_session.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -42,6 +43,14 @@ void InferenceSession::resolve_rows(index_t t, const std::vector<index_t>& rows,
                                     Matrix& values, ILookupContext* ctx,
                                     WorkerState& state) const {
   const IEmbeddingTable& table = model_->table(t);
+  // Always on: the cache probe indexes its per-row state by these rows
+  // before the table's own lookup() would validate them.
+  const index_t num_rows = table.num_rows();
+  for (const index_t r : rows) {
+    ELREC_CHECK(r >= 0 && r < num_rows,
+                "row " + std::to_string(r) + " out of range for table " +
+                    std::to_string(t));
+  }
   ServingCache* cache = caches_[static_cast<std::size_t>(t)].get();
   const index_t d = table.dim();
   values.resize(static_cast<index_t>(rows.size()), d);

@@ -4,9 +4,9 @@
 // The scheduler only needs four things from its backend: the request shape
 // (dense width, table count), a per-worker mutable state object, and a
 // const, thread-safe predict(). InferenceSession (single process) and
-// ShardRouter (scatter/gather across shard servers) both implement this
-// interface, so the same scheduler fronts a local model and a sharded
-// serving tier without changes.
+// ShardRouter (rows resolved by the shard servers that own them) both
+// implement this interface, so the same scheduler fronts a local model and
+// a sharded serving tier without changes.
 #pragma once
 
 #include <memory>

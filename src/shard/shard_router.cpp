@@ -16,6 +16,17 @@ obs::Counter& shard_counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name);
 }
 
+// Copies the answer of one call into `values` at the call's positions and
+// marks those rows resolved.
+void accept_call(Matrix& values, ShardRouter::RouterState& state) {
+  const auto bytes = sizeof(float) * static_cast<std::size_t>(values.cols());
+  for (std::size_t i = 0; i < state.call_pos.size(); ++i) {
+    std::memcpy(values.row(static_cast<index_t>(state.call_pos[i])),
+                state.call_vals.row(static_cast<index_t>(i)), bytes);
+    state.resolved[state.call_pos[i]] = 1;
+  }
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(const InferenceSession& fallback,
@@ -33,29 +44,14 @@ ShardRouter::ShardRouter(const InferenceSession& fallback,
   for (const ShardServer* s : shards_) {
     ELREC_CHECK(s != nullptr, "router given a null shard");
   }
-  health_.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    health_.push_back(std::make_unique<ShardHealth>());
-  }
-  if (config_.enable_health_pings) {
-    ping_thread_ = std::thread([this] { ping_loop(); });
-  }
-}
-
-ShardRouter::~ShardRouter() {
-  {
-    std::lock_guard lock(ping_mu_);
-    ping_stop_ = true;
-  }
-  ping_cv_.notify_all();
-  if (ping_thread_.joinable()) ping_thread_.join();
 }
 
 std::unique_ptr<IRankingBackend::State> ShardRouter::make_state() const {
   auto state = std::make_unique<RouterState>();
   state->local = fallback_.make_worker_state();
-  state->shard_rows.resize(shards_.size());
-  state->shard_pos.resize(shards_.size());
+  for (const ShardServer* s : shards_) {
+    state->shard.push_back(s->session().make_worker_state());
+  }
   return state;
 }
 
@@ -75,7 +71,7 @@ void ShardRouter::sharded_lookup(index_t t, const IndexBatch& batch,
 
   // Resolve each unique row once across the shard tier.
   state.unique = build_unique_index_map(batch.indices);
-  resolve_rows_sharded(t, state.unique.unique, state.unique_vals, state);
+  resolve_rows(t, state.unique.unique, state.unique_vals, state);
 
   // Pool in bag-position order — the exact loop InferenceSession uses — so
   // a routed prediction is bitwise equal to a single-process one.
@@ -90,254 +86,103 @@ void ShardRouter::sharded_lookup(index_t t, const IndexBatch& batch,
   }
 }
 
-void ShardRouter::resolve_rows_sharded(index_t t,
-                                       const std::vector<index_t>& rows,
-                                       Matrix& values,
-                                       RouterState& state) const {
-  const index_t d = fallback_.model().table(t).dim();
-  values.resize(static_cast<index_t>(rows.size()), d);
+void ShardRouter::resolve_rows(index_t t, const std::vector<index_t>& rows,
+                               Matrix& values, RouterState& state) const {
+  values.resize(static_cast<index_t>(rows.size()),
+                fallback_.model().table(t).dim());
   if (rows.empty()) return;
+  const auto depth = static_cast<std::size_t>(ladder_depth_);
+  state.ladders.resize(rows.size() * depth);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ring_.owners_of(t, rows[i], ladder_depth_, state.owners);
+    std::copy(state.owners.begin(), state.owners.end(),
+              state.ladders.begin() + static_cast<std::ptrdiff_t>(i * depth));
+  }
   state.resolved.assign(rows.size(), 0);
   std::size_t unresolved = rows.size();
 
-  for (int round = 0; round < ladder_depth_ && unresolved > 0; ++round) {
-    // Group the still-unresolved rows by this round's ladder rung.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      state.shard_rows[s].clear();
-      state.shard_pos[s].clear();
-    }
-    std::size_t grouped = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (state.resolved[i]) continue;
-      ring_.owners_of(t, rows[i], ladder_depth_, state.owners);
-      if (static_cast<std::size_t>(round) >= state.owners.size()) continue;
-      const int s = state.owners[static_cast<std::size_t>(round)];
-      if (!shard_live(s)) continue;  // dead rung: promote next round
-      state.shard_rows[static_cast<std::size_t>(s)].push_back(rows[i]);
-      state.shard_pos[static_cast<std::size_t>(s)].push_back(i);
-      ++grouped;
-    }
-    if (round > 0 && grouped > 0) {
-      static obs::Counter& failover_total = shard_counter("shard.failover");
-      failovers_.fetch_add(grouped, std::memory_order_relaxed);
-      failover_total.add(grouped);
-    }
-    if (grouped == 0) continue;
-
-    // Scatter: non-blocking submit to every rung shard. An invalid future
-    // in `pending` marks a shed submission handled by the retry rung.
-    std::vector<PendingCall> pending;
-    pending.reserve(shards_.size());
-    {
-      TRACE_SPAN("shard.scatter");
-      static obs::Counter& scatter_total = shard_counter("shard.scatter");
-      static obs::Counter& shed_total = shard_counter("shard.shed");
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (state.shard_rows[s].empty()) continue;
-        ShardCallRequest req;
-        req.table = t;
-        req.rows = state.shard_rows[s];
-        PendingCall call;
-        call.shard = static_cast<int>(s);
-        switch (shards_[s]->channel().submit(std::move(req), call.fut)) {
-          case ChannelSubmitStatus::kAccepted:
-            scatter_calls_.fetch_add(1, std::memory_order_relaxed);
-            scatter_total.inc();
-            pending.push_back(std::move(call));
-            break;
-          case ChannelSubmitStatus::kOverloaded:
-            shed_.fetch_add(1, std::memory_order_relaxed);
-            shed_total.inc();
-            pending.push_back(std::move(call));  // fut invalid -> retry rung
-            break;
-          case ChannelSubmitStatus::kDown:
-            mark_down(static_cast<int>(s));  // hard evidence, skip the count
-            break;
+  static obs::Counter& failover_total = shard_counter("shard.failover");
+  for (std::size_t round = 0; round < depth && unresolved > 0; ++round) {
+    // Each live shard gets one call with the unresolved rows it holds
+    // this round's rung for; a dead one leaves them to the next round.
+    for (int s = 0; s < num_shards() && unresolved > 0; ++s) {
+      if (!shard_live(s)) continue;
+      state.call_rows.clear();
+      state.call_pos.clear();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!state.resolved[i] && state.ladders[i * depth + round] == s) {
+          state.call_rows.push_back(rows[i]);
+          state.call_pos.push_back(i);
         }
       }
-    }
-
-    // Gather under one shared deadline from scatter time. A crashed shard
-    // NACKs instantly (TransientError through the future), so failover
-    // latency is retry-bounded, not deadline-bounded.
-    {
-      TRACE_SPAN("shard.gather");
-      const auto deadline =
-          std::chrono::steady_clock::now() + config_.shard_deadline;
-      for (PendingCall& call : pending) {
-        const auto s = static_cast<std::size_t>(call.shard);
-        const std::vector<index_t>& group = state.shard_rows[s];
-        const std::vector<std::size_t>& pos = state.shard_pos[s];
-        bool served = false;
-        bool transient = !call.fut.valid();  // shed at scatter -> retry rung
-        const Matrix* got = nullptr;
-        ShardCallReply reply;
-        if (call.fut.valid()) {
-          if (call.fut.wait_until(deadline) == std::future_status::ready) {
-            try {
-              reply = call.fut.get();
-              if (reply.status == ShardCallStatus::kOk) {
-                got = &reply.values;
-                served = true;
-              } else if (reply.status == ShardCallStatus::kTransient) {
-                transient = true;
-              }
-            } catch (const TransientError&) {
-              transient = true;  // crash NACK
-            } catch (const std::exception&) {
-              // terminal reply failure: fall through to the next rung
-            }
-          }
-          // timeout: leave served=false, transient=false -> next rung
-        }
-        if (!served && transient) {
-          // Retry rung: bounded backoff on the same shard.
-          static obs::Counter& retry_total = shard_counter("shard.retry");
-          try {
-            with_retry(config_.retry, "shard call retry", [&] {
-              retries_.fetch_add(1, std::memory_order_relaxed);
-              retry_total.inc();
-              call_shard_once(call.shard, t, group, state.retry_vals);
-            });
-            got = &state.retry_vals;
-            served = true;
-          } catch (const std::exception&) {
-            // retries exhausted or shard went down mid-retry
-          }
-        }
-        if (served) {
-          for (std::size_t i = 0; i < pos.size(); ++i) {
-            std::memcpy(values.row(static_cast<index_t>(pos[i])),
-                        got->row(static_cast<index_t>(i)),
-                        sizeof(float) * static_cast<std::size_t>(d));
-            state.resolved[pos[i]] = 1;
-          }
-          unresolved -= pos.size();
-          note_success(call.shard);
-        } else {
-          note_failure(call.shard);
-        }
+      if (state.call_rows.empty()) continue;
+      if (round > 0) {
+        failovers_.fetch_add(state.call_rows.size(), std::memory_order_relaxed);
+        failover_total.add(state.call_rows.size());
+      }
+      if (call_shard(s, t, state)) {
+        accept_call(values, state);
+        unresolved -= state.call_rows.size();
       }
     }
   }
+  if (unresolved > 0) serve_fallback(t, rows, values, state);
+}
 
-  if (unresolved > 0) {
-    // Degraded mode: the local full-model session serves the remainder
-    // through its cold-tail cache path. Slower, bitwise identical.
-    TRACE_SPAN("shard.fallback");
-    static obs::Counter& fallback_total = shard_counter("shard.fallback_rows");
-    state.fb_rows.clear();
-    state.fb_pos.clear();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (!state.resolved[i]) {
-        state.fb_rows.push_back(rows[i]);
-        state.fb_pos.push_back(i);
+bool ShardRouter::call_shard(int s, index_t t, RouterState& state) const {
+  static obs::Counter& retry_total = shard_counter("shard.retry");
+  static obs::Counter& shed_total = shard_counter("shard.shed");
+  ShardServer& server = *shards_[static_cast<std::size_t>(s)];
+  InferenceSession::WorkerState& ws = *state.shard[static_cast<std::size_t>(s)];
+  int attempt = 0;
+  bool served = false;
+  try {
+    served = with_retry(config_.retry, "shard call", [&] {
+      if (attempt++ > 0) {
+        retries_.fetch_add(1, std::memory_order_relaxed);
+        retry_total.inc();
       }
+      return server.serve(t, state.call_rows, state.call_vals, ws,
+                          config_.shard_deadline);
+    });
+  } catch (const std::exception&) {
+    return false;  // dead, crashed, failed or out of retries: next rung
+  }
+  if (!served) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    shed_total.inc();
+  }
+  return served;
+}
+
+void ShardRouter::serve_fallback(index_t t, const std::vector<index_t>& rows,
+                                 Matrix& values, RouterState& state) const {
+  // The local full-model session serves the remainder through its
+  // cold-tail cache path. Slower, bitwise identical.
+  TRACE_SPAN("shard.fallback");
+  static obs::Counter& fallback_total = shard_counter("shard.fallback_rows");
+  state.call_rows.clear();
+  state.call_pos.clear();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!state.resolved[i]) {
+      state.call_rows.push_back(rows[i]);
+      state.call_pos.push_back(i);
     }
-    fallback_.materialize_rows(t, state.fb_rows, state.fb_vals, *state.local);
-    for (std::size_t i = 0; i < state.fb_rows.size(); ++i) {
-      std::memcpy(values.row(static_cast<index_t>(state.fb_pos[i])),
-                  state.fb_vals.row(static_cast<index_t>(i)),
-                  sizeof(float) * static_cast<std::size_t>(d));
-    }
-    fallback_rows_.fetch_add(state.fb_rows.size(), std::memory_order_relaxed);
-    fallback_total.add(state.fb_rows.size());
   }
-}
-
-void ShardRouter::call_shard_once(int shard, index_t t,
-                                  const std::vector<index_t>& rows,
-                                  Matrix& values) const {
-  ShardChannel& ch = shards_[static_cast<std::size_t>(shard)]->channel();
-  ShardCallRequest req;
-  req.table = t;
-  req.rows = rows;
-  std::future<ShardCallReply> fut;
-  switch (ch.submit(std::move(req), fut)) {
-    case ChannelSubmitStatus::kDown:
-      throw Error("shard " + std::to_string(shard) + " is down");
-    case ChannelSubmitStatus::kOverloaded:
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      throw TransientError("shard " + std::to_string(shard) + " overloaded");
-    case ChannelSubmitStatus::kAccepted:
-      break;
-  }
-  scatter_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (fut.wait_for(config_.shard_deadline) != std::future_status::ready) {
-    throw Error("shard " + std::to_string(shard) + " missed deadline");
-  }
-  ShardCallReply reply = fut.get();  // TransientError here = crash NACK
-  if (reply.status == ShardCallStatus::kTransient) {
-    throw TransientError(reply.error);
-  }
-  if (reply.status == ShardCallStatus::kError) throw Error(reply.error);
-  values = std::move(reply.values);
-}
-
-bool ShardRouter::shard_live(int s) const {
-  return health_[static_cast<std::size_t>(s)]->live.load(
-      std::memory_order_acquire);
-}
-
-void ShardRouter::note_success(int s) const {
-  ShardHealth& h = *health_[static_cast<std::size_t>(s)];
-  h.consecutive_failures.store(0, std::memory_order_relaxed);
-  if (!h.live.load(std::memory_order_acquire) &&
-      !h.live.exchange(true, std::memory_order_acq_rel)) {
-    static obs::Counter& markup_total = shard_counter("shard.markup");
-    markups_.fetch_add(1, std::memory_order_relaxed);
-    markup_total.inc();
-  }
-}
-
-void ShardRouter::note_failure(int s) const {
-  ShardHealth& h = *health_[static_cast<std::size_t>(s)];
-  const int failures =
-      h.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (failures >= config_.markdown_after) mark_down(s);
-}
-
-void ShardRouter::mark_down(int s) const {
-  ShardHealth& h = *health_[static_cast<std::size_t>(s)];
-  if (h.live.exchange(false, std::memory_order_acq_rel)) {
-    static obs::Counter& markdown_total = shard_counter("shard.markdown");
-    markdowns_.fetch_add(1, std::memory_order_relaxed);
-    markdown_total.inc();
-  }
+  fallback_.materialize_rows(t, state.call_rows, state.call_vals,
+                             *state.local);
+  accept_call(values, state);
+  fallback_rows_.fetch_add(state.call_rows.size(), std::memory_order_relaxed);
+  fallback_total.add(state.call_rows.size());
 }
 
 ShardRouter::RouterStats ShardRouter::stats() const {
   RouterStats s;
-  s.scatter_calls = scatter_calls_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.failovers = failovers_.load(std::memory_order_relaxed);
   s.fallback_rows = fallback_rows_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
-  s.markdowns = markdowns_.load(std::memory_order_relaxed);
-  s.markups = markups_.load(std::memory_order_relaxed);
   return s;
-}
-
-void ShardRouter::ping_loop() {
-  for (;;) {
-    {
-      std::unique_lock lock(ping_mu_);
-      ping_cv_.wait_for(lock, config_.ping_interval);
-      if (ping_stop_) return;
-    }
-    for (int s = 0; s < num_shards(); ++s) {
-      if (shard_live(s)) continue;
-      // An empty-row call is the health ping: it exercises the full serve
-      // path (mailbox, worker, session) without touching any table rows.
-      try {
-        Matrix ignored;
-        call_shard_once(s, 0, {}, ignored);
-        note_success(s);  // first served ping marks the shard back up
-      } catch (const std::exception&) {
-        // still down; next tick retries
-      }
-    }
-  }
 }
 
 }  // namespace elrec

@@ -2,14 +2,19 @@
 //
 // The router is an IRankingBackend: a RequestScheduler drives it exactly
 // like a plain InferenceSession, but every embedding lookup inside the
-// frozen forward is scattered to the shard servers that own the rows
-// (consistent-hash ring) and gathered under a per-shard deadline budget.
+// frozen forward is resolved by the shard servers that own the rows
+// (consistent-hash ring). Each shard call is a plain function call on the
+// request worker's thread, with that worker's per-shard WorkerState; the
+// tier starts no thread of its own.
 //
 // Failover ladder, per unique row:
-//   1. primary owner        — scatter round 0
-//   2. retry-with-backoff   — transient replies / crash NACKs / overload,
-//                             absorbed by with_retry on the same shard
-//   3. replica owners       — scatter rounds 1..replication-1 walk the ring
+//   1. primary owner        — round 0
+//   2. retry-with-backoff   — TransientError from the shard, absorbed by
+//                             with_retry on the same shard
+//   3. replica owners       — rounds 1..replication-1 walk the ring; a
+//                             dead shard, a failed call, or a call shed
+//                             after `shard_deadline` without a free slot
+//                             moves its rows here
 //   4. local Eff-TT fallback— degraded mode: the router's own fallback
 //                             session materializes whatever is still
 //                             unresolved (cold-tail path, never wrong)
@@ -18,23 +23,18 @@
 // routed prediction equals a single-process InferenceSession prediction
 // bit for bit in every mode (tests assert this).
 //
-// Health: request-path failures mark a shard down after
-// `markdown_after` consecutive failures; a background ping thread probes
-// down shards and marks them back up on the first served ping, which is
-// how a revived shard rejoins the rotation.
+// Liveness: a shard is live exactly when its server reports alive(), so a
+// killed shard is skipped, and a revived one served, from the very next
+// request.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/retry.hpp"
-#include "common/thread_annotations.hpp"
 #include "serve/inference_session.hpp"
 #include "shard/hash_ring.hpp"
 #include "shard/shard_server.hpp"
@@ -45,29 +45,26 @@ struct ShardRouterConfig {
   int replication = 2;          // failover ladder depth (clamped to shards)
   int vnodes_per_shard = 64;    // ring resolution
   std::uint64_t ring_seed = 0x5ec7a11dULL;
-  std::chrono::microseconds shard_deadline{20000};  // per-shard gather budget
-  RetryPolicy retry;            // transient-reply absorption per call
-  int markdown_after = 3;       // consecutive failures before mark-down
-  std::chrono::milliseconds ping_interval{10};
-  bool enable_health_pings = true;
+  std::chrono::microseconds shard_deadline{20000};  // wait for a shard slot
+  RetryPolicy retry;            // transient-fault absorption per call
 };
 
 class ShardRouter : public IRankingBackend {
  public:
   /// Per-worker scratch. `local` carries the fallback session's worker
-  /// state (workspace + cache scratch); the rest is scatter/gather staging.
+  /// state and `shard[s]` shard s's (workspace + cache scratch); the rest
+  /// is ladder staging.
   struct RouterState : IRankingBackend::State {
     std::unique_ptr<InferenceSession::WorkerState> local;
+    std::vector<std::unique_ptr<InferenceSession::WorkerState>> shard;
     UniqueIndexMap unique;
     Matrix unique_vals;
     std::vector<char> resolved;
-    std::vector<int> owners;                       // ladder scratch
-    std::vector<std::vector<index_t>> shard_rows;  // per-shard scatter group
-    std::vector<std::vector<std::size_t>> shard_pos;  // positions in unique
-    std::vector<index_t> fb_rows;       // degraded-mode remainder
-    std::vector<std::size_t> fb_pos;
-    Matrix fb_vals;
-    Matrix retry_vals;
+    std::vector<int> owners;   // one row's ladder
+    std::vector<int> ladders;  // rows x ladder depth, row-major
+    std::vector<index_t> call_rows;  // one call's rows ...
+    std::vector<std::size_t> call_pos;  // ... their positions in `unique`
+    Matrix call_vals;                   // ... and the call's answer
   };
 
   /// `fallback` is the router-side full-model session used for degraded
@@ -75,7 +72,6 @@ class ShardRouter : public IRankingBackend {
   /// the router. Shards are addressed by their position in `shards`.
   ShardRouter(const InferenceSession& fallback,
               std::vector<ShardServer*> shards, ShardRouterConfig config = {});
-  ~ShardRouter() override;
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -89,48 +85,32 @@ class ShardRouter : public IRankingBackend {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const HashRing& ring() const { return ring_; }
 
-  /// Router's current routability view of shard `s` (health mark, not the
-  /// server's own alive() flag — markdown lags a crash by design).
-  bool shard_live(int s) const;
+  /// Whether the router routes to shard `s`: its server's alive().
+  bool shard_live(int s) const {
+    return shards_[static_cast<std::size_t>(s)]->alive();
+  }
 
-  /// Aggregate failover/health activity since construction.
+  /// Aggregate failover activity since construction.
   struct RouterStats {
-    std::uint64_t scatter_calls = 0;  // shard calls submitted
     std::uint64_t retries = 0;        // with_retry attempts after a failure
     std::uint64_t failovers = 0;      // row-promotions to a later rung
     std::uint64_t fallback_rows = 0;  // rows served by the local fallback
-    std::uint64_t shed = 0;           // submissions bounced off a full mailbox
-    std::uint64_t markdowns = 0;
-    std::uint64_t markups = 0;
+    std::uint64_t shed = 0;           // calls given up without a free slot
   };
   RouterStats stats() const;
 
  private:
-  struct ShardHealth {
-    std::atomic<bool> live{true};
-    std::atomic<int> consecutive_failures{0};
-  };
-
-  struct PendingCall {
-    int shard = -1;
-    std::future<ShardCallReply> fut;
-  };
-
   void sharded_lookup(index_t t, const IndexBatch& batch, Matrix& out,
                       RouterState& state) const;
-  void resolve_rows_sharded(index_t t, const std::vector<index_t>& rows,
-                            Matrix& values, RouterState& state) const;
-  /// One synchronous submit+wait on `shard`; throws TransientError on
-  /// retryable outcomes (transient reply, crash NACK, overload) and Error
-  /// on terminal ones (down, deadline, fatal reply). kOk fills `values`.
-  void call_shard_once(int shard, index_t t, const std::vector<index_t>& rows,
-                       Matrix& values) const;
-
-  void note_success(int s) const;
-  void note_failure(int s) const;
-  void mark_down(int s) const;
-
-  void ping_loop();
+  /// Fills values.row(i) with rows[i], walking the ladder.
+  void resolve_rows(index_t t, const std::vector<index_t>& rows,
+                    Matrix& values, RouterState& state) const;
+  /// Serves state.call_rows on shard `s` into state.call_vals, retrying
+  /// transient faults. False when the call was shed or failed.
+  bool call_shard(int s, index_t t, RouterState& state) const;
+  /// Degraded mode: the fallback session serves every unresolved row.
+  void serve_fallback(index_t t, const std::vector<index_t>& rows,
+                      Matrix& values, RouterState& state) const;
 
   const InferenceSession& fallback_;
   std::vector<ShardServer*> shards_;
@@ -138,20 +118,10 @@ class ShardRouter : public IRankingBackend {
   HashRing ring_;
   int ladder_depth_;
 
-  mutable std::vector<std::unique_ptr<ShardHealth>> health_;
-
-  mutable std::atomic<std::uint64_t> scatter_calls_{0};
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> failovers_{0};
   mutable std::atomic<std::uint64_t> fallback_rows_{0};
   mutable std::atomic<std::uint64_t> shed_{0};
-  mutable std::atomic<std::uint64_t> markdowns_{0};
-  mutable std::atomic<std::uint64_t> markups_{0};
-
-  std::mutex ping_mu_;
-  std::condition_variable ping_cv_;
-  bool ping_stop_ ELREC_GUARDED_BY(ping_mu_) = false;
-  std::thread ping_thread_;  // declared last: joined before members die
 };
 
 }  // namespace elrec

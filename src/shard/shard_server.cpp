@@ -1,5 +1,7 @@
 #include "shard/shard_server.hpp"
 
+#include <string>
+
 #include "common/fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,90 +12,41 @@ ShardServer::ShardServer(int shard_id, const InferenceSession& session,
                          ShardServerConfig config)
     : shard_id_(shard_id),
       session_(session),
-      config_(config),
-      channel_(config.mailbox_capacity) {
-  ELREC_CHECK(config_.num_workers > 0, "shard server needs >= 1 worker");
-  std::lock_guard lock(lifecycle_mu_);
-  start_workers_locked();
+      slots_(static_cast<std::ptrdiff_t>(config.num_workers)) {
+  ELREC_CHECK(config.num_workers > 0, "shard server needs >= 1 worker");
 }
 
-ShardServer::~ShardServer() { kill(); }
-
-void ShardServer::start_workers_locked() {
-  workers_.reserve(config_.num_workers);
-  for (std::size_t i = 0; i < config_.num_workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-void ShardServer::join_workers_locked() {
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-}
-
-void ShardServer::kill() {
-  alive_.store(false, std::memory_order_release);
-  channel_.crash();  // wakes workers; fails in-flight calls over instantly
-  std::lock_guard lock(lifecycle_mu_);
-  join_workers_locked();
-}
-
-void ShardServer::revive() {
-  std::lock_guard lock(lifecycle_mu_);
-  if (alive_.load(std::memory_order_acquire)) return;
-  join_workers_locked();  // reap self-crashed workers
-  channel_.reopen();
-  alive_.store(true, std::memory_order_release);
-  start_workers_locked();
-}
-
-void ShardServer::worker_loop() {
-  auto state = session_.make_worker_state();
-  for (;;) {
-    std::optional<ShardEnvelope> env = channel_.next();
-    if (!env.has_value()) return;  // channel crashed
-    if (!serve_call(*env, *state)) return;  // server just died
-  }
-}
-
-bool ShardServer::serve_call(ShardEnvelope& env,
-                             InferenceSession::WorkerState& state) {
+bool ShardServer::serve(index_t table, const std::vector<index_t>& rows,
+                        Matrix& values, InferenceSession::WorkerState& state,
+                        std::chrono::microseconds wait) {
   TRACE_SPAN("shard.serve");
   static obs::Counter& calls_total =
       obs::MetricsRegistry::global().counter("shard.calls");
   static obs::Counter& rows_total =
       obs::MetricsRegistry::global().counter("shard.rows");
-  ShardCallReply reply;
+  if (!alive()) throw Error("shard " + std::to_string(shard_id_) + " is down");
+  if (!slots_.try_acquire_for(wait)) return false;
+  struct SlotRelease {
+    std::counting_semaphore<>& slots;
+    ~SlotRelease() { slots.release(); }
+  } release{slots_};
+
   try {
     // Fatal site first: a crash takes down the whole server, not one call.
     ELREC_FAULT_POINT("shard.crash");
     ELREC_FAULT_POINT("shard.serve");
-    session_.materialize_rows(env.req.table, env.req.rows, reply.values,
-                              state);
-    reply.status = ShardCallStatus::kOk;
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    rows_.fetch_add(env.req.rows.size(), std::memory_order_relaxed);
-    calls_total.inc();
-    rows_total.add(env.req.rows.size());
   } catch (const InjectedFault& e) {
-    // Process-death emulation: this call and every queued one fail with a
-    // retryable error, the mailbox goes down, the workers exit.
-    env.reply.set_exception(std::make_exception_ptr(TransientError(
-        std::string("shard ") + std::to_string(shard_id_) +
-        " crashed serving call: " + e.what())));
-    alive_.store(false, std::memory_order_release);
-    channel_.crash();
-    return false;
-  } catch (const TransientError& e) {
-    reply.status = ShardCallStatus::kTransient;
-    reply.error = e.what();
-  } catch (const std::exception& e) {
-    reply.status = ShardCallStatus::kError;
-    reply.error = e.what();
+    // Process-death emulation: this call fails and the server refuses
+    // every later one until revive().
+    kill();
+    throw Error("shard " + std::to_string(shard_id_) +
+                " crashed serving call: " + e.what());
   }
-  env.reply.set_value(std::move(reply));
+  session_.materialize_rows(table, rows, values, state);
+  calls_.fetch_add(1, std::memory_order_relaxed);
+  rows_.fetch_add(rows.size(), std::memory_order_relaxed);
+  calls_total.inc();
+  rows_total.add(rows.size());
   return true;
 }
 

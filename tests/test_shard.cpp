@@ -1,9 +1,10 @@
 // Sharded serving tier tests: consistent-hash ring properties,
 // statistics-driven placement, router ≡ single-process bitwise equality,
-// transport overload/crash semantics, transient-fault absorption, and the
-// two headline fault drills — kill-a-shard under replicated load (zero
-// accepted-request loss, bounded p99, revived shard rejoins) and
-// unreplicated degraded mode (local fallback, never wrong-answer).
+// out-of-range request rejection, overload shedding, transient-fault
+// absorption, and the two headline fault drills — kill-a-shard under
+// replicated load (zero accepted-request loss, bounded p99, revived shard
+// rejoins) and unreplicated degraded mode (local fallback, never
+// wrong-answer).
 // Registered with the "sanitize" label: run under TSan.
 #include <gtest/gtest.h>
 
@@ -110,19 +111,26 @@ struct Tier {
   std::unique_ptr<ShardRouter> router;
 
   Tier(int num_shards, std::uint64_t model_seed, ShardRouterConfig rcfg,
-       index_t cache_capacity = 128) {
+       ShardServerConfig svr = {}) {
     InferenceSessionConfig scfg;
-    scfg.cache.capacity = cache_capacity;
+    scfg.cache.capacity = 128;
     std::vector<ShardServer*> raw;
     for (int s = 0; s < num_shards; ++s) {
       sessions.push_back(std::make_unique<InferenceSession>(
           make_trained_model(model_seed), scfg));
-      servers.push_back(std::make_unique<ShardServer>(s, *sessions.back()));
+      servers.push_back(
+          std::make_unique<ShardServer>(s, *sessions.back(), svr));
       raw.push_back(servers.back().get());
     }
     fallback = std::make_unique<InferenceSession>(make_trained_model(model_seed),
                                                   scfg);
     router = std::make_unique<ShardRouter>(*fallback, raw, rcfg);
+  }
+
+  std::uint64_t calls_served() const {
+    std::uint64_t calls = 0;
+    for (const auto& s : servers) calls += s->calls_served();
+    return calls;
   }
 };
 
@@ -199,32 +207,8 @@ TEST(MergeHotRows, InterleavesByRankAndDedups) {
   EXPECT_EQ(capped, (std::vector<index_t>{3, 5, 1, 7}));
 }
 
-TEST(ShardChannel, ShedsWhenFullAndNacksOnCrash) {
-  ShardChannel ch(1);  // capacity 1, nobody draining
-  std::future<ShardCallReply> f1, f2;
-  ShardCallRequest req;
-  req.table = 0;
-  req.rows = {1, 2};
-  ASSERT_EQ(ch.submit(req, f1), ChannelSubmitStatus::kAccepted);
-  ASSERT_EQ(ch.submit(req, f2), ChannelSubmitStatus::kOverloaded);
-  EXPECT_FALSE(f2.valid());
-
-  ch.crash();
-  // The queued call fails over instantly: future ready with TransientError.
-  ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_THROW(f1.get(), TransientError);
-  EXPECT_FALSE(ch.up());
-  EXPECT_EQ(ch.submit(req, f2), ChannelSubmitStatus::kDown);
-
-  ch.reopen();
-  EXPECT_TRUE(ch.up());
-  EXPECT_EQ(ch.submit(req, f2), ChannelSubmitStatus::kAccepted);
-}
-
 TEST(ShardRouter, BitwiseEqualsSingleProcessSession) {
-  ShardRouterConfig rcfg;
-  rcfg.enable_health_pings = false;
-  Tier tier(3, 21, rcfg);
+  Tier tier(3, 21, ShardRouterConfig{});
 
   InferenceSessionConfig scfg;
   scfg.cache.capacity = 128;
@@ -247,14 +231,104 @@ TEST(ShardRouter, BitwiseEqualsSingleProcessSession) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i], got[i]) << "sample " << i;
   }
-  EXPECT_GT(tier.router->stats().scatter_calls, 0u);
+  EXPECT_GT(tier.calls_served(), 0u);
   EXPECT_EQ(tier.router->stats().fallback_rows, 0u);
 }
 
-TEST(ShardRouter, StatisticsDrivenWarmingCoversHotTraffic) {
+// A request index outside a table's rows (too large, or negative) must be
+// rejected with Error before any per-row state is touched, on the local
+// cached path and through every shard session alike.
+TEST(ShardRouter, OutOfRangeRequestIndexThrows) {
+  Tier tier(2, 43, ShardRouterConfig{});
+  InferenceSessionConfig scfg;
+  scfg.cache.capacity = 128;
+  InferenceSession session(make_trained_model(43), scfg);
+  auto session_state = session.make_worker_state();
+  auto router_state = tier.router->make_state();
+
+  RankingRequest req;
+  req.dense.assign(static_cast<std::size_t>(kDense), 0.1f);
+  for (const index_t bad : {kRowsTT, index_t{1} << 40, index_t{-1}}) {
+    req.sparse = {{3, bad}, {0}};
+    const MiniBatch mb = to_minibatch({req});
+    std::vector<float> probs;
+    EXPECT_THROW(session.predict(mb, probs, *session_state), Error)
+        << "index " << bad;
+    EXPECT_THROW(tier.router->predict(mb, probs, *router_state), Error)
+        << "index " << bad;
+  }
+
+  // The rejected requests leave both backends serving correct answers.
+  req.sparse = {{3, kRowsTT - 1}, {0}};
+  const MiniBatch mb = to_minibatch({req});
+  std::vector<float> want, got;
+  session.predict(mb, want, *session_state);
+  tier.router->predict(mb, got, *router_state);
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(want[0], got[0]);
+}
+
+// Overload: one slot per shard, held by a caller stalled inside the serve
+// path. A second caller for the same rows waits `shard_deadline`, counts a
+// shed, and is answered by the replica — bitwise equal to a local session.
+TEST(ShardRouter, OverloadedShardShedsAfterDeadline) {
+  FaultInjector::instance().reset();
   ShardRouterConfig rcfg;
-  rcfg.enable_health_pings = false;
-  Tier tier(3, 23, rcfg);
+  rcfg.replication = 2;
+  rcfg.shard_deadline = std::chrono::milliseconds(5);
+  ShardServerConfig svr;
+  svr.num_workers = 1;
+  Tier tier(2, 47, rcfg, svr);
+
+  InferenceSessionConfig scfg;
+  scfg.cache.capacity = 128;
+  InferenceSession reference(make_trained_model(47), scfg);
+  auto ref_state = reference.make_worker_state();
+
+  Prng rng(53);
+  const MiniBatch mb = to_minibatch({make_request(rng)});
+  std::vector<float> want;
+  reference.predict(mb, want, *ref_state);
+
+  FaultSpec stall;
+  stall.kind = FaultKind::kDelay;
+  stall.max_fires = 1;
+  stall.delay = std::chrono::seconds(30);  // cut short by reset() below
+  FaultInjector::instance().arm("shard.serve", stall);
+
+  std::vector<float> stalled_probs;
+  std::thread stalled([&] {
+    auto state = tier.router->make_state();
+    tier.router->predict(mb, stalled_probs, *state);
+  });
+  const auto wait_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (FaultInjector::instance().fires("shard.serve") == 0 &&
+         std::chrono::steady_clock::now() < wait_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool held = FaultInjector::instance().fires("shard.serve") == 1;
+  std::vector<float> got;
+  if (held) {
+    auto state = tier.router->make_state();
+    tier.router->predict(mb, got, *state);
+  }
+  const ShardRouter::RouterStats stats = tier.router->stats();
+
+  FaultInjector::instance().reset();  // wakes the stalled caller
+  stalled.join();
+
+  ASSERT_TRUE(held) << "the first caller should be holding the slot";
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(want[0], got[0]) << "shed call must still be answered bitwise";
+  ASSERT_EQ(want.size(), stalled_probs.size());
+  EXPECT_EQ(want[0], stalled_probs[0]);
+  EXPECT_GE(stats.shed, 1u) << "the second caller should have given up";
+  EXPECT_GE(stats.failovers, 1u) << "shed rows move on to the replica";
+}
+
+TEST(ShardRouter, StatisticsDrivenWarmingCoversHotTraffic) {
+  Tier tier(3, 23, ShardRouterConfig{});
 
   // RecShard-style: hot rows from the access distribution drive placement;
   // each shard warms its owned partitions (primary + replica copies).
@@ -292,7 +366,6 @@ TEST(ShardRouter, StatisticsDrivenWarmingCoversHotTraffic) {
 TEST(ShardRouter, TransientFaultsAbsorbedByRetry) {
   FaultInjector::instance().reset();
   ShardRouterConfig rcfg;
-  rcfg.enable_health_pings = false;
   rcfg.retry.max_attempts = 4;
   Tier tier(2, 29, rcfg);
 
@@ -324,9 +397,7 @@ TEST(ShardRouter, TransientFaultsAbsorbedByRetry) {
 
 TEST(ShardRouter, UnreplicatedDeadShardDegradesToLocalFallback) {
   ShardRouterConfig rcfg;
-  rcfg.enable_health_pings = false;
   rcfg.replication = 1;  // no replicas: dead shard => degraded mode
-  rcfg.markdown_after = 1;
   Tier tier(2, 35, rcfg);
 
   InferenceSessionConfig scfg;
@@ -349,7 +420,6 @@ TEST(ShardRouter, UnreplicatedDeadShardDegradesToLocalFallback) {
   const ShardRouter::RouterStats stats = tier.router->stats();
   EXPECT_GT(stats.fallback_rows, 0u)
       << "dead unreplicated shard must be served by the local fallback";
-  EXPECT_GE(stats.markdowns, 1u);
   EXPECT_FALSE(tier.router->shard_live(0));
   EXPECT_TRUE(tier.router->shard_live(1));
 }
@@ -362,7 +432,6 @@ TEST(ShardRouter, KillAShardMidLoadZeroLossBoundedTailAndRejoin) {
   FaultInjector::instance().reset();
   ShardRouterConfig rcfg;
   rcfg.replication = 2;
-  rcfg.ping_interval = std::chrono::milliseconds(5);
   rcfg.retry.max_attempts = 3;
   Tier tier(3, 51, rcfg);
 
@@ -418,23 +487,19 @@ TEST(ShardRouter, KillAShardMidLoadZeroLossBoundedTailAndRejoin) {
     }
   }
   ASSERT_NE(dead, -1) << "the armed crash should have killed a shard";
-  EXPECT_GE(tier.router->stats().markdowns, 1u);
+  EXPECT_FALSE(tier.router->shard_live(dead))
+      << "the router must stop routing to a dead shard";
 
   // Bounded degradation: generous floor absorbs sanitizer/VM noise while
   // still catching a deadline-stall regression (which would cost >= 20ms).
   EXPECT_LE(killed_p99_us, std::max(3.0 * steady_p99_us, 15000.0))
       << "steady p99 " << steady_p99_us << "us";
 
-  // Revive: the health ping marks the shard back up and traffic returns.
+  // Revive: the router routes to the shard again from the next request.
   tier.servers[static_cast<std::size_t>(dead)]->revive();
-  const auto wait_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!tier.router->shard_live(dead) &&
-         std::chrono::steady_clock::now() < wait_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(tier.router->shard_live(dead)) << "ping should mark the shard up";
-  EXPECT_GE(tier.router->stats().markups, 1u);
+  ASSERT_TRUE(tier.servers[static_cast<std::size_t>(dead)]->alive());
+  ASSERT_TRUE(tier.router->shard_live(dead))
+      << "a revived shard is live for the very next request";
 
   const std::uint64_t calls_before =
       tier.servers[static_cast<std::size_t>(dead)]->calls_served();
