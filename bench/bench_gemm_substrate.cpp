@@ -4,7 +4,8 @@
 // `--quick` skips google-benchmark and runs a fixed shape set in a few
 // seconds, writing BENCH_gemm_substrate.json for the perf-regression harness.
 // It also records the per-call cost of a tiny gemm (ns/call) at 1 thread and
-// at all cores, at top level and from inside a parallel region.
+// at all cores, at top level and from inside a parallel region, and the DLRM
+// backward shapes (weight and input gradient) at 1 thread and at all cores.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -195,6 +196,39 @@ int run_quick() {
     });
     record("gemv_n_2048", gf_n);
     record("gemv_t_2048", gf_t);
+  }
+  {
+    // The DLRM backward shapes at batch 4096, at 1 thread and at all cores:
+    // the weight gradient dW = x^T * grad (TN, one 64-row block, so threads
+    // split k) and the input gradient dX = grad * W^T (NT with m = batch,
+    // the packed path).
+    const index_t batch = 4096, fan_in = 64, fan_out = 32;
+    Matrix x(batch, fan_in), g(batch, fan_out), w(fan_in, fan_out);
+    Matrix dw(fan_in, fan_out), dx(batch, fan_in);
+    x.fill_normal(rng);
+    g.fill_normal(rng);
+    w.fill_normal(rng);
+    const double flops = 2.0 * batch * fan_in * fan_out;
+    const int all = benchutil::compute_threads();
+    for (const int threads : {1, all}) {
+      benchutil::set_threads(threads);
+      const std::string suffix = threads == 1 ? "_t1" : "_tall";
+      const double gf_dw = quick_gflops(flops, [&] {
+        gemm(Trans::kYes, Trans::kNo, fan_in, fan_out, batch, 1.0f, x.data(),
+             fan_in, g.data(), fan_out, 0.0f, dw.data(), fan_out);
+      });
+      const double gf_dx = quick_gflops(flops, [&] {
+        gemm(Trans::kNo, Trans::kYes, batch, fan_in, fan_out, 1.0f, g.data(),
+             fan_out, w.data(), fan_out, 0.0f, dx.data(), fan_in);
+      });
+      report.add("gemm_tn_dw_64x32_k4096" + suffix,
+                 {{"GFLOP/s", gf_dw}, {"threads", threads}});
+      report.add("gemm_nt_dx_4096x64_k32" + suffix,
+                 {{"GFLOP/s", gf_dx}, {"threads", threads}});
+      table.push_back({"gemm_tn_dw_64x32_k4096" + suffix, benchutil::fmt(gf_dw)});
+      table.push_back({"gemm_nt_dx_4096x64_k32" + suffix, benchutil::fmt(gf_dx)});
+    }
+    benchutil::set_threads(all);
   }
   {
     // Per-call overhead arm: at 1 thread and at all cores, top level and

@@ -1,5 +1,6 @@
 #include "dlrm/mlp.hpp"
 
+#include "common/parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/vector_ops.hpp"
 
@@ -11,7 +12,6 @@ Mlp::Mlp(std::vector<index_t> layer_sizes, Prng& rng)
   const auto n = layer_sizes_.size() - 1;
   weights_.resize(n);
   biases_.resize(n);
-  inputs_.resize(n);
   preacts_.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
     weights_[l].resize(layer_sizes_[l], layer_sizes_[l + 1]);
@@ -31,51 +31,63 @@ void Mlp::set_optimizer(OptimizerConfig config) {
   }
 }
 
+namespace {
+
+// z[i, :] += bias, then ReLU on hidden layers: one row-parallel pass shared
+// by forward() and forward_frozen(), so the two stay bitwise identical.
+// `v < 0 ? 0 : v` is std::max(v, 0.0f) as a vector select (NaN and -0 pass
+// through unchanged).
+void bias_activation(Matrix& z, const std::vector<float>& bias, bool relu) {
+  const index_t cols = z.cols();
+  const float* bp = bias.data();
+  parallel_for(index_t{0}, z.rows(), z.size() >= (index_t{1} << 15),
+               [&](index_t i) {
+                 float* row = z.row(i);
+                 if (relu) {
+#pragma omp simd
+                   for (index_t j = 0; j < cols; ++j) {
+                     const float v = row[j] + bp[j];
+                     row[j] = v < 0.0f ? 0.0f : v;
+                   }
+                 } else {
+#pragma omp simd
+                   for (index_t j = 0; j < cols; ++j) row[j] += bp[j];
+                 }
+               });
+}
+
+}  // namespace
+
 void Mlp::forward(const Matrix& in, Matrix& out) {
   ELREC_CHECK(in.cols() == input_dim(), "MLP input dim mismatch");
-  const index_t b = in.rows();
-  cached_batch_ = b;
+  cached_batch_ = in.rows();
   const int n = num_layers();
 
-  const Matrix* cur = &in;
+  // Hidden layers read their input from preacts_[l - 1], so only the
+  // caller's input needs a copy.
+  input_ = in;
   for (int l = 0; l < n; ++l) {
-    Matrix& x = inputs_[static_cast<std::size_t>(l)];
-    x = *cur;  // cache layer input
+    const Matrix& x =
+        l == 0 ? input_ : preacts_[static_cast<std::size_t>(l - 1)];
     Matrix& z = (l == n - 1) ? out : preacts_[static_cast<std::size_t>(l)];
     matmul(x, weights_[static_cast<std::size_t>(l)], z);
-    const auto& bias = biases_[static_cast<std::size_t>(l)];
-    for (index_t i = 0; i < b; ++i) {
-      float* row = z.row(i);
-      for (std::size_t j = 0; j < bias.size(); ++j) row[j] += bias[j];
-    }
-    if (l < n - 1) {
-      // preacts_ caches the *activated* values; relu_backward's >0 mask is
-      // identical on pre- and post-activation, so one buffer suffices.
-      relu_inplace({z.data(), static_cast<std::size_t>(z.size())});
-      cur = &z;
-    }
+    // preacts_ caches the *activated* values; relu_backward's >0 mask is
+    // identical on pre- and post-activation, so one buffer suffices.
+    bias_activation(z, biases_[static_cast<std::size_t>(l)], l < n - 1);
   }
 }
 
 void Mlp::forward_frozen(const Matrix& in, Matrix& out, Matrix& scratch_a,
                          Matrix& scratch_b) const {
   ELREC_CHECK(in.cols() == input_dim(), "MLP input dim mismatch");
-  const index_t b = in.rows();
   const int n = num_layers();
 
   const Matrix* cur = &in;
   for (int l = 0; l < n; ++l) {
     Matrix& z = (l == n - 1) ? out : (l % 2 == 0 ? scratch_a : scratch_b);
     matmul(*cur, weights_[static_cast<std::size_t>(l)], z);
-    const auto& bias = biases_[static_cast<std::size_t>(l)];
-    for (index_t i = 0; i < b; ++i) {
-      float* row = z.row(i);
-      for (std::size_t j = 0; j < bias.size(); ++j) row[j] += bias[j];
-    }
-    if (l < n - 1) {
-      relu_inplace({z.data(), static_cast<std::size_t>(z.size())});
-      cur = &z;
-    }
+    bias_activation(z, biases_[static_cast<std::size_t>(l)], l < n - 1);
+    cur = &z;
   }
 }
 
@@ -88,7 +100,8 @@ void Mlp::backward_and_update(const Matrix& grad_out, Matrix* grad_in,
   Matrix grad = grad_out;
   Matrix grad_prev;
   for (int l = n - 1; l >= 0; --l) {
-    Matrix& x = inputs_[static_cast<std::size_t>(l)];
+    const Matrix& x =
+        l == 0 ? input_ : preacts_[static_cast<std::size_t>(l - 1)];
     Matrix& w = weights_[static_cast<std::size_t>(l)];
     auto& bias = biases_[static_cast<std::size_t>(l)];
 
@@ -106,9 +119,12 @@ void Mlp::backward_and_update(const Matrix& grad_out, Matrix* grad_in,
       gemm(Trans::kYes, Trans::kNo, w.rows(), w.cols(), grad.rows(), -lr,
            x.data(), x.cols(), grad.data(), grad.cols(), 1.0f, w.data(),
            w.cols());
+      float* bp = bias.data();
+      const index_t cols = grad.cols();
       for (index_t i = 0; i < grad.rows(); ++i) {
         const float* g = grad.row(i);
-        for (std::size_t j = 0; j < bias.size(); ++j) bias[j] -= lr * g[j];
+#pragma omp simd
+        for (index_t j = 0; j < cols; ++j) bp[j] -= lr * g[j];
       }
     } else {
       // Stateful rules need the explicit gradient.
@@ -122,11 +138,12 @@ void Mlp::backward_and_update(const Matrix& grad_out, Matrix* grad_in,
            static_cast<std::size_t>(grad_w_scratch_.size())},
           lr);
       grad_b_scratch_.assign(bias.size(), 0.0f);
+      float* gb = grad_b_scratch_.data();
+      const index_t cols = grad.cols();
       for (index_t i = 0; i < grad.rows(); ++i) {
         const float* g = grad.row(i);
-        for (std::size_t j = 0; j < bias.size(); ++j) {
-          grad_b_scratch_[j] += g[j];
-        }
+#pragma omp simd
+        for (index_t j = 0; j < cols; ++j) gb[j] += g[j];
       }
       bias_opt_[static_cast<std::size_t>(l)].update(
           bias, grad_b_scratch_, lr);

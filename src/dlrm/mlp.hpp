@@ -68,9 +68,9 @@ class Mlp {
   std::vector<OptimizerState> bias_opt_;
   Matrix grad_w_scratch_;
   std::vector<float> grad_b_scratch_;
-  // Caches: inputs_[l] is the input to layer l; preacts_[l] its pre-ReLU
-  // output (hidden layers only).
-  std::vector<Matrix> inputs_;
+  // Caches: input_ is a copy of the input to layer 0; preacts_[l] is hidden
+  // layer l's activated output, which is also the input to layer l + 1.
+  Matrix input_;
   std::vector<Matrix> preacts_;
   index_t cached_batch_ = 0;
 };

@@ -62,6 +62,7 @@ void EmbeddingBag::backward_and_update(const IndexBatch& batch,
       const float* g = grad_out.row(s);
       for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
         float* w = weights_.row(batch.indices[static_cast<std::size_t>(p)]);
+#pragma omp simd
         for (index_t j = 0; j < d; ++j) w[j] -= lr * g[j];
       }
     }

@@ -1,7 +1,7 @@
 // Low-overhead span tracing with per-thread ring buffers.
 //
 // TRACE_SPAN("subsys.stage") opens an RAII span: the constructor reads the
-// runtime enable flag and a steady-clock timestamp, the destructor pushes
+// runtime enable flag and a trace-clock timestamp, the destructor pushes
 // one fixed-size event into the calling thread's private ring buffer — no
 // locks, no allocation, no shared cache line on the hot path (the enable
 // flag is read-mostly). A full ring overwrites its oldest event and counts
@@ -19,12 +19,19 @@
 // traced training run is bitwise identical to an untraced one
 // (tests/test_obs_invariance.cpp holds this at 1 and 8 threads).
 //
+// Trace clock: on x86-64 a span reads the raw time-stamp counter (`rdtsc`,
+// about half the cost of a steady_clock read), and the export converts ticks
+// to ns with the rate measured between a (ticks, steady_clock) pair taken at
+// startup and another taken at export. Other architectures record
+// steady_clock nanoseconds directly.
+//
 // Export: export_chrome_trace_json() merges every thread's retained events
 // into chrome://tracing "traceEvents" JSON (trace_export.cpp); load it via
 // chrome://tracing or https://ui.perfetto.dev.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -33,11 +40,12 @@
 namespace elrec::obs {
 
 /// One completed span. `name` must be a string with static storage duration
-/// (TRACE_SPAN passes literals); timestamps are steady-clock nanoseconds.
+/// (TRACE_SPAN passes literals); times are trace-clock ticks
+/// (detail::trace_now_ticks), converted to ns only at export.
 struct TraceEvent {
   const char* name = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t dur_ns = 0;
+  std::uint64_t start_ticks = 0;
+  std::uint64_t dur_ticks = 0;
 };
 
 /// Fixed-capacity ring of TraceEvents owned by one thread. push() is
@@ -48,12 +56,13 @@ class ThreadTraceBuffer {
   ThreadTraceBuffer(std::uint32_t tid, std::size_t capacity)
       : tid_(tid), ring_(capacity) {}
 
-  void push(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns) {
+  void push(const char* name, std::uint64_t start_ticks,
+            std::uint64_t dur_ticks) {
     const std::uint64_t n = pushes_.load(std::memory_order_relaxed);
     TraceEvent& slot = ring_[static_cast<std::size_t>(n % ring_.size())];
     slot.name = name;
-    slot.start_ns = start_ns;
-    slot.dur_ns = dur_ns;
+    slot.start_ticks = start_ticks;
+    slot.dur_ticks = dur_ticks;
     pushes_.store(n + 1, std::memory_order_relaxed);
   }
 
@@ -113,9 +122,26 @@ TraceStats trace_stats();
 
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
-std::uint64_t trace_now_ns();
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns);
+
+/// The trace clock: time-stamp counter ticks on x86-64, steady-clock ns
+/// elsewhere.
+inline std::uint64_t trace_now_ticks() {
+#if defined(__x86_64__)
+  return __builtin_ia32_rdtsc();
+#else
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+#endif
+}
+
+/// Nanoseconds per trace-clock tick, measured from startup to this call
+/// (exactly 1 where the trace clock is steady_clock).
+double trace_ns_per_tick();
+
+void record_span(const char* name, std::uint64_t start_ticks,
+                 std::uint64_t dur_ticks);
 /// Snapshot of every registered thread buffer (stable pointers; buffers are
 /// never destroyed before process exit). For the exporter and tests.
 std::vector<const ThreadTraceBuffer*> all_buffers();
@@ -131,20 +157,21 @@ class TraceSpan {
  public:
   explicit TraceSpan(const char* name)
       : name_(trace_enabled() ? name : nullptr),
-        start_ns_(name_ != nullptr ? detail::trace_now_ns() : 0) {}
+        start_ticks_(name_ != nullptr ? detail::trace_now_ticks() : 0) {}
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   ~TraceSpan() {
     if (name_ != nullptr) {
-      detail::record_span(name_, start_ns_, detail::trace_now_ns() - start_ns_);
+      detail::record_span(name_, start_ticks_,
+                          detail::trace_now_ticks() - start_ticks_);
     }
   }
 
  private:
   const char* name_;
-  std::uint64_t start_ns_;
+  std::uint64_t start_ticks_;
 };
 
 // ---- chrome://tracing export (trace_export.cpp) -------------------------

@@ -38,11 +38,13 @@ std::string export_chrome_trace_json() {
   }
   std::stable_sort(merged.begin(), merged.end(),
                    [](const MergedEvent& a, const MergedEvent& b) {
-                     return a.event.start_ns < b.event.start_ns;
+                     return a.event.start_ticks < b.event.start_ticks;
                    });
   // Timestamps are reported relative to the earliest span so the viewer
-  // opens at t=0 instead of hours of steady-clock uptime.
-  const std::uint64_t t0 = merged.empty() ? 0 : merged.front().event.start_ns;
+  // opens at t=0 instead of hours of clock uptime.
+  const std::uint64_t t0 =
+      merged.empty() ? 0 : merged.front().event.start_ticks;
+  const double us_per_tick = detail::trace_ns_per_tick() / 1e3;
 
   std::string out = "{\"displayTimeUnit\": \"ms\", \"droppedEventCount\": " +
                     std::to_string(dropped) + ",\n\"traceEvents\": [\n";
@@ -54,8 +56,8 @@ std::string export_chrome_trace_json() {
                   "{\"name\": \"%s\", \"cat\": \"elrec\", \"ph\": \"X\", "
                   "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 0, \"tid\": %u}",
                   escaped(m.event.name).c_str(),
-                  static_cast<double>(m.event.start_ns - t0) / 1e3,
-                  static_cast<double>(m.event.dur_ns) / 1e3, m.tid);
+                  static_cast<double>(m.event.start_ticks - t0) * us_per_tick,
+                  static_cast<double>(m.event.dur_ticks) * us_per_tick, m.tid);
     out += buf;
     out += (i + 1 < merged.size()) ? ",\n" : "\n";
   }

@@ -1,6 +1,7 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/parallel.hpp"
 
@@ -125,6 +126,41 @@ void gemm_nn_block(index_t m, index_t n, index_t k, float alpha,
   }
 }
 
+// NN over a B packed with zero columns up to a whole number of kNR-wide
+// tiles (ldb = n rounded up), so every tile runs the full-width kernel. A
+// ragged tile accumulates into a zeroed stack tile with alpha = 1 (which
+// holds acc exactly) and adds its valid columns as c += alpha * acc, the
+// same operation a full tile applies.
+void gemm_nn_packed(index_t m, index_t n, index_t k, float alpha,
+                    const float* a, index_t lda, const float* b, index_t ldb,
+                    float* c, index_t ldc) {
+  float tile[kMR * kNR];
+  for (index_t i = 0; i < m; i += kMR) {
+    const index_t mr = std::min(kMR, m - i);
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    for (index_t j = 0; j < n; j += kNR) {
+      const index_t nr = std::min(kNR, n - j);
+      if (mr == kMR && nr == kNR) {
+        kernel_nn_4x16(k, alpha, arow, lda, b + j, ldb, crow + j, ldc);
+        continue;
+      }
+      std::fill(tile, tile + kMR * kNR, 0.0f);
+      if (mr == kMR) {
+        kernel_nn_4x16(k, 1.0f, arow, lda, b + j, ldb, tile, kNR);
+      } else {
+        kernel_nn_edge(mr, kNR, k, 1.0f, arow, lda, b + j, ldb, tile, kNR);
+      }
+      for (index_t r = 0; r < mr; ++r) {
+        float* ELREC_RESTRICT cr = crow + r * ldc + j;
+        const float* ELREC_RESTRICT tr = tile + r * kNR;
+#pragma omp simd
+        for (index_t jj = 0; jj < nr; ++jj) cr[jj] += alpha * tr[jj];
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TN path: C[i, :] += alpha * A[k, i] * B[k, :]. The kMR A elements per k
 // step are contiguous (a[kk*lda + i .. i+3]), so the tile loads stream.
@@ -199,6 +235,56 @@ void gemm_tn_block(index_t m, index_t n, index_t k, float alpha,
     for (index_t j = 0; j < n; j += kNR) {
       kernel_tn_edge(m - i, std::min(kNR, n - j), k, alpha, a + i, lda, b + j,
                      ldb, c + i * ldc + j, ldc);
+    }
+  }
+}
+
+// Per-thread buffer reused across calls: k-split partial tiles and packed
+// B^T. Grows to the largest request and is never shrunk.
+float* gemm_scratch(index_t floats) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<std::size_t>(floats)) {
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
+}
+
+// TN with one row block (m <= kBlockM, the DLRM weight gradient: m = fan-in,
+// k = batch) has no rows to split, so k is split at the kBlockK boundaries
+// the serial loop walks. Each chunk's product acc_q lands in its own partial
+// tile (alpha = 1 onto zeros stores acc_q exactly), and C then takes
+// c += alpha * acc_q in chunk order: the float operations, in the order, of
+// one thread walking k. Windows of kSplitWindow chunks per n block bound the
+// partials at kSplitWindow * kBlockM * kBlockN floats.
+constexpr index_t kSplitWindow = 16;
+constexpr index_t kSplitMinMacs = index_t{1} << 17;
+
+void gemm_tn_ksplit(index_t m, index_t n, index_t k, float alpha,
+                    const float* a, index_t lda, const float* b, index_t ldb,
+                    float* c, index_t ldc) {
+  const index_t chunks = (k + kBlockK - 1) / kBlockK;
+  const bool big = m * n * k >= kSplitMinMacs;
+  for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const index_t nb = std::min(kBlockN, n - j0);
+    const index_t tile = m * nb;
+    for (index_t q0 = 0; q0 < chunks; q0 += kSplitWindow) {
+      const index_t window = std::min(kSplitWindow, chunks - q0);
+      float* partial = gemm_scratch(window * tile);
+      parallel_for(index_t{0}, window, big, [&](index_t w) {
+        const index_t k0 = (q0 + w) * kBlockK;
+        float* p = partial + w * tile;
+        std::fill(p, p + tile, 0.0f);
+        gemm_tn_block(m, nb, std::min(kBlockK, k - k0), 1.0f, a + k0 * lda,
+                      lda, b + k0 * ldb + j0, ldb, p, nb);
+      });
+      parallel_for(index_t{0}, m, big, [&](index_t i) {
+        float* ELREC_RESTRICT crow = c + i * ldc + j0;
+        for (index_t w = 0; w < window; ++w) {
+          const float* ELREC_RESTRICT prow = partial + w * tile + i * nb;
+#pragma omp simd
+          for (index_t j = 0; j < nb; ++j) crow[j] += alpha * prow[j];
+        }
+      });
     }
   }
 }
@@ -310,6 +396,10 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
       gemm_tn_block(m, n, k, alpha, a, lda, b, ldb, c, ldc);
       return;
     }
+    if (row_blocks == 1 && k > kBlockK) {
+      gemm_tn_ksplit(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+      return;
+    }
     // k is the large dimension here (activation gradients: k == batch), so
     // block it for cache reuse of the C tile accumulators.
     parallel_for(index_t{0}, row_blocks, m >= 2 * kBlockM, [&](index_t ib) {
@@ -328,6 +418,27 @@ void gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
   }
 
   if (trans_a == Trans::kNo && trans_b == Trans::kYes) {
+    if (m >= 2 * kBlockM && n <= kBlockN && k <= kBlockK) {
+      // Large-m NT with B in one block (the DLRM input gradient
+      // dX = grad * W^T): pack B^T once and run the NN register tiles on
+      // it, which beat one horizontal dot reduction per output. Outputs sum
+      // in k order rather than the dot kernel's lane order: the one
+      // reordering that depends on the shape (never on the thread count).
+      // Small-m NT calls, every TT backward product among them, keep the
+      // dot kernel.
+      const index_t np = (n + kNR - 1) / kNR * kNR;
+      float* bt = gemm_scratch(k * np);
+      for (index_t kk = 0; kk < k; ++kk) {
+        for (index_t j = 0; j < n; ++j) bt[kk * np + j] = b[j * ldb + kk];
+        std::fill(bt + kk * np + n, bt + (kk + 1) * np, 0.0f);
+      }
+      parallel_for(index_t{0}, row_blocks, true, [&](index_t ib) {
+        const index_t i0 = ib * kBlockM;
+        gemm_nn_packed(std::min(kBlockM, m - i0), n, k, alpha, a + i0 * lda,
+                       lda, bt, np, c + i0 * ldc, ldc);
+      });
+      return;
+    }
     parallel_for(index_t{0}, m, m >= 2 * kBlockM, [&](index_t i) {
       gemm_nt_row(n, k, alpha, a + i * lda, b, ldb, c + i * ldc);
     });

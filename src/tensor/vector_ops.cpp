@@ -17,7 +17,8 @@ void copy(std::span<const float> x, std::span<float> y) {
 }
 
 void scale(float alpha, std::span<float> x) {
-  for (auto& v : x) v *= alpha;
+#pragma omp simd
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= alpha;
 }
 
 float dot(std::span<const float> x, std::span<const float> y) {
@@ -32,10 +33,6 @@ float sum(std::span<const float> x) {
   float acc = 0.0f;
   for (float v : x) acc += v;
   return acc;
-}
-
-void relu_inplace(std::span<float> x) {
-  for (auto& v : x) v = std::max(v, 0.0f);
 }
 
 void relu_backward(std::span<const float> x, std::span<const float> dy,

@@ -22,9 +22,6 @@ float dot(std::span<const float> x, std::span<const float> y);
 /// sum of entries
 float sum(std::span<const float> x);
 
-/// Elementwise in-place ReLU.
-void relu_inplace(std::span<float> x);
-
 /// dx = dy where x > 0 else 0 (ReLU backward, given pre-activation x).
 void relu_backward(std::span<const float> x, std::span<const float> dy,
                    std::span<float> dx);

@@ -4,8 +4,9 @@
 // the same table on the same stream must produce byte-identical cores at any
 // thread count. PR 1's crash-safe checkpoint/resume replays batches and
 // compares parameters exactly — this property is what makes that valid.
-// The DLRM feature interaction, split across threads by sample, is held to
-// the same contract.
+// The DLRM feature interaction, split across threads by sample, and the MLP
+// train step (k-split weight gradients, packed input gradients, row-parallel
+// bias+ReLU) are held to the same contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +18,7 @@
 
 #include "core/eff_tt_table.hpp"
 #include "dlrm/interaction.hpp"
+#include "dlrm/mlp.hpp"
 #include "embed/index_batch.hpp"
 
 namespace elrec {
@@ -190,6 +192,70 @@ TEST(InteractionDeterminism, ForwardAndBackwardBitwiseAt1And3Threads) {
   ASSERT_EQ(t1.grads.size(), t3.grads.size());
   for (std::size_t f = 0; f < t1.grads.size(); ++f) {
     EXPECT_TRUE(bitwise_equal(t1.grads[f], t3.grads[f])) << "feature " << f;
+  }
+}
+
+struct MlpRun {
+  Matrix out;
+  Matrix frozen_out;
+  Matrix grad_in;
+  std::vector<Matrix> weights;
+  std::vector<std::vector<float>> biases;
+};
+
+// Two SGD train steps of a fresh identically-seeded MLP under `threads`
+// OpenMP threads, then a frozen forward of the trained weights.
+MlpRun run_mlp(int threads, const std::vector<index_t>& sizes, const Matrix& in,
+               const Matrix& grad_out) {
+  set_threads(threads);
+  Prng rng(23);
+  Mlp mlp(sizes, rng);
+  MlpRun run;
+  for (int step = 0; step < 2; ++step) {
+    mlp.forward(in, run.out);
+    mlp.backward_and_update(grad_out, &run.grad_in, 0.05f);
+  }
+  Matrix scratch_a, scratch_b;
+  mlp.forward_frozen(in, run.frozen_out, scratch_a, scratch_b);
+  for (int l = 0; l < mlp.num_layers(); ++l) {
+    run.weights.push_back(mlp.weight(l));
+    run.biases.push_back(mlp.bias(l));
+  }
+  set_threads(1);
+  return run;
+}
+
+TEST(MlpDeterminism, TrainStepBitwiseAt1And3And4Threads) {
+  // The bottom and top MLP shapes of the pipelined Eff-TT training benchmark
+  // at its batch: the weight gradients split k across threads, the input
+  // gradients take the packed NT path, and the bias(+ReLU) epilogue is
+  // row-parallel.
+  constexpr index_t kBatch = 4096;
+  const std::vector<std::vector<index_t>> shapes = {{13, 64, 32, 16},
+                                                    {52, 64, 32, 1}};
+  Prng rng(31);
+  for (const auto& sizes : shapes) {
+    Matrix in(kBatch, sizes.front()), grad_out(kBatch, sizes.back());
+    in.fill_normal(rng);
+    grad_out.fill_normal(rng, 0.0f, 0.01f);
+    const MlpRun t1 = run_mlp(1, sizes, in, grad_out);
+    for (const int threads : {3, 4}) {
+      const MlpRun tn = run_mlp(threads, sizes, in, grad_out);
+      EXPECT_TRUE(bitwise_equal(t1.out, tn.out)) << threads << " threads";
+      EXPECT_TRUE(bitwise_equal(t1.frozen_out, tn.frozen_out))
+          << threads << " threads";
+      EXPECT_TRUE(bitwise_equal(t1.grad_in, tn.grad_in))
+          << threads << " threads";
+      for (std::size_t l = 0; l < t1.weights.size(); ++l) {
+        EXPECT_TRUE(bitwise_equal(t1.weights[l], tn.weights[l]))
+            << "layer " << l << " weights at " << threads << " threads";
+        ASSERT_EQ(t1.biases[l].size(), tn.biases[l].size());
+        EXPECT_EQ(std::memcmp(t1.biases[l].data(), tn.biases[l].data(),
+                              t1.biases[l].size() * sizeof(float)),
+                  0)
+            << "layer " << l << " bias at " << threads << " threads";
+      }
+    }
   }
 }
 

@@ -4,6 +4,9 @@
 // (batch >= 64), against double-precision references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "tensor/batched_gemm.hpp"
 #include "tensor/gemm.hpp"
 
@@ -94,6 +97,48 @@ TEST(GemmLarge, TransATallMatchesReference) {
     }
   }
   EXPECT_LT(Matrix::max_abs_diff(c, ref), 1e-3f);
+}
+
+TEST(GemmLarge, KSplitTnMatchesChunkedSerialOrder) {
+  // A single-row-block TN call with k > 256 splits k across threads. It must
+  // be bitwise equal to the same product issued as successive k <= 256 TN
+  // calls with beta = 1: the order in which one thread walks the k blocks.
+  // Shapes: the DLRM weight gradients (fan-in x fan-out, k = batch), plus
+  // n > 128 and a ragged, more-than-16-block k. A and C carry padded
+  // leading dimensions.
+  struct Shape {
+    index_t m, n, k;
+  };
+  const Shape shapes[] = {{52, 64, 4096}, {32, 1, 4096}, {13, 200, 5000}};
+  constexpr index_t kChunk = 256;
+  const float alpha = -0.01f;  // -lr: the fused SGD update
+  Prng rng(5);
+  for (const Shape& s : shapes) {
+    const index_t lda = s.m + 3, ldc = s.n + 5;
+    Matrix a(s.k, lda), b(s.k, s.n), c0(s.m, ldc);
+    a.fill_normal(rng);
+    b.fill_normal(rng);
+    c0.fill_normal(rng);
+    for (const float beta : {1.0f, 0.0f}) {
+      Matrix got = c0;
+      gemm(Trans::kYes, Trans::kNo, s.m, s.n, s.k, alpha, a.data(), lda,
+           b.data(), s.n, beta, got.data(), ldc);
+      Matrix want = c0;
+      if (beta == 0.0f) {
+        for (index_t i = 0; i < s.m; ++i) {
+          std::fill(want.row(i), want.row(i) + s.n, 0.0f);
+        }
+      }
+      for (index_t k0 = 0; k0 < s.k; k0 += kChunk) {
+        gemm(Trans::kYes, Trans::kNo, s.m, s.n, std::min(kChunk, s.k - k0),
+             alpha, a.row(k0), lda, b.row(k0), s.n, 1.0f, want.data(), ldc);
+      }
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * static_cast<std::size_t>(got.size())),
+                0)
+          << s.m << "x" << s.n << " k=" << s.k << " beta=" << beta;
+    }
+  }
 }
 
 }  // namespace

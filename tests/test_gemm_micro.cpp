@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -135,6 +136,11 @@ TEST(GemmMicroKernel, CacheBlockBoundaries) {
   run_sweep_case({64, 128, 256, 0, 1.0f, 1.0f});
   run_sweep_case({65, 129, 257, 0, 1.0f, 0.5f});
   run_sweep_case({130, 40, 300, 0, -1.0f, 0.0f});
+  // Packed NT (m >= 128, n <= 128, k <= 256) with a ragged last column tile
+  // and tail rows, and k-split TN (m <= 64, k > 256), strided.
+  run_sweep_case({131, 13, 64, 3, -1.0f, 0.5f});
+  run_sweep_case({200, 52, 256, 0, 1.0f, 0.0f});
+  run_sweep_case({13, 52, 600, 2, -0.5f, 1.0f});
 }
 
 TEST(GemmMicroKernel, StridedBuffers) {
@@ -165,26 +171,52 @@ TEST(GemmMicroKernel, TinyTTShapes) {
 }
 
 #ifdef _OPENMP
-// gemm/gemv must be bitwise identical at any thread count: the blocked loops
-// never split the k dimension across threads, so the float sum order is a
-// function of the shape alone. The deterministic Eff-TT backward (and the
-// PR 1 checkpoint/resume invariants) depend on this.
+// gemm/gemv must be bitwise identical at any thread count: threads split
+// disjoint row blocks, and where a single row block splits k (TN with
+// m <= 64, the DLRM weight gradient) the chunk partials are added in chunk
+// order, so the float sum order is a function of the shape alone. The
+// deterministic Eff-TT backward (and the checkpoint/resume invariants)
+// depend on this.
 TEST(GemmMicroKernel, BitwiseThreadCountInvariance) {
   const int saved = omp_get_max_threads();
   Prng rng(77);
-  const index_t m = 300, n = 200, k = 150;
-  Matrix a(m, k), b(k, n);
-  a.fill_normal(rng);
-  b.fill_normal(rng);
-
-  Matrix c1(m, n), c4(m, n);
-  omp_set_num_threads(1);
-  gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-       c1.data(), n);
-  omp_set_num_threads(4);
-  gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-       c4.data(), n);
-  EXPECT_EQ(Matrix::max_abs_diff(c1, c4), 0.0f);
+  struct Case {
+    Trans ta, tb;
+    index_t m, n, k;
+  };
+  const Case cases[] = {
+      {Trans::kNo, Trans::kNo, 300, 200, 150},
+      // TN tall-k: the DLRM weight-gradient shapes at batch 4096.
+      {Trans::kYes, Trans::kNo, 13, 64, 4096},
+      {Trans::kYes, Trans::kNo, 52, 64, 4096},
+      {Trans::kYes, Trans::kNo, 32, 1, 4096},
+      // NT large-m: the DLRM input gradient (packed B^T path).
+      {Trans::kNo, Trans::kYes, 4096, 64, 32},
+  };
+  for (const Case& cs : cases) {
+    const index_t lda = cs.ta == Trans::kNo ? cs.k : cs.m;
+    const index_t ldb = cs.tb == Trans::kNo ? cs.n : cs.k;
+    const std::vector<float> a =
+        random_buffer(rng, cs.ta == Trans::kNo ? cs.m : cs.k, lda);
+    const std::vector<float> b =
+        random_buffer(rng, cs.tb == Trans::kNo ? cs.k : cs.n, ldb);
+    const std::vector<float> c0 = random_buffer(rng, cs.m, cs.n);
+    std::vector<float> c1;
+    for (const int threads : {1, 3, 4}) {
+      omp_set_num_threads(threads);
+      std::vector<float> c = c0;
+      gemm(cs.ta, cs.tb, cs.m, cs.n, cs.k, -0.5f, a.data(), lda, b.data(),
+           ldb, 1.0f, c.data(), cs.n);
+      if (threads == 1) {
+        c1 = c;
+      } else {
+        EXPECT_EQ(std::memcmp(c.data(), c1.data(), sizeof(float) * c.size()),
+                  0)
+            << cs.m << "x" << cs.n << " k=" << cs.k << " at " << threads
+            << " threads";
+      }
+    }
+  }
 
   // gemv needs m >= 512 (no-trans) / n >= 512 (trans) before its parallel
   // clauses engage, so use a matrix big enough in both directions.

