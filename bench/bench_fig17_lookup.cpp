@@ -9,8 +9,9 @@
 //   DenseBag     — uncompressed EmbeddingBag reference
 // Paper shape: EffTT ~1.83x over TTRec on average, growing with batch size;
 // reordering adds ~1.05x on top.
-// `--quick` runs a single batch size (2048) over the three main series and
-// writes BENCH_fig17_lookup.json (ns/lookup) for the perf-regression harness.
+// `--quick` runs a single batch size (2048) over the three main series, each
+// at 1 thread and at all cores, and writes BENCH_fig17_lookup.json (median-
+// of-5 ns/lookup with its MAD) for the perf-regression harness.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -118,18 +119,22 @@ BENCHMARK(BM_Lookup_EffTT) LOOKUP_ARGS;
 BENCHMARK(BM_Lookup_EffTT_Reorder) LOOKUP_ARGS;
 BENCHMARK(BM_Lookup_DenseBag) LOOKUP_ARGS;
 
-// Best-of-3 ns per individual index lookup at the quick batch size.
+// Median-of-5 ns per individual index lookup at the quick batch size, with
+// its MAD; one rep looks up every pre-generated batch once.
 template <typename Table>
-double quick_ns_per_lookup(Table& table, const std::vector<IndexBatch>& batches,
-                           index_t batch_size) {
+benchutil::MedianMad quick_ns_per_lookup(Table& table,
+                                         const std::vector<IndexBatch>& batches,
+                                         index_t batch_size) {
   Matrix out;
   table.forward(batches[0], out);  // warm up
-  const double secs = benchutil::time_best_seconds(
+  const benchutil::MedianMad secs = benchutil::time_median_seconds(
       [&] {
         for (const IndexBatch& b : batches) table.forward(b, out);
       },
-      3);
-  return secs / (static_cast<double>(batches.size()) * batch_size) * 1e9;
+      5);
+  const double per_lookup_ns =
+      1e9 / (static_cast<double>(batches.size()) * batch_size);
+  return {secs.median * per_lookup_ns, secs.mad * per_lookup_ns};
 }
 
 }  // namespace
@@ -138,28 +143,47 @@ int run_quick() {
   benchutil::header("Fig. 17 lookup (--quick, batch 2048)");
   constexpr index_t kBatch = 2048;
   const auto batches = make_batches(kBatch, 8);
+  // Every arm runs at 1 thread and at all cores (the count OpenMP would
+  // use; more threads than cores would only time-slice).
+  const int all = benchutil::compute_threads();
   benchutil::JsonBenchReport report("fig17_lookup");
-  std::vector<std::vector<std::string>> table{{"series", "ns/lookup"}};
-  const auto record = [&](const std::string& name, double ns) {
-    report.add(name, {{"ns/lookup", ns}});
-    table.push_back({name, benchutil::fmt(ns)});
-  };
+  std::vector<std::vector<std::string>> table{
+      {"series", "threads", "ns/lookup (median of 5)", "MAD"}};
 
-  {
-    Prng rng(1);
-    TTTable t(kRows, TTShape::balanced(kRows, kDim, 3, kRank), rng);
-    record("TTRec", quick_ns_per_lookup(t, batches, kBatch));
+  for (const int threads : {1, all}) {
+    benchutil::set_threads(threads);
+    const std::string suffix = threads == 1 ? "_t1" : "_tall";
+    double ttrec_ns = 0.0;
+    double efftt_ns = 0.0;
+    const auto record = [&](const std::string& name,
+                            const benchutil::MedianMad& ns) {
+      report.add(name + suffix, {{"ns/lookup", ns.median},
+                                 {"mad_ns", ns.mad},
+                                 {"threads", threads}});
+      table.push_back({name + suffix, std::to_string(threads),
+                       benchutil::fmt(ns.median), benchutil::fmt(ns.mad)});
+      return ns.median;
+    };
+    {
+      Prng rng(1);
+      TTTable t(kRows, TTShape::balanced(kRows, kDim, 3, kRank), rng);
+      ttrec_ns = record("TTRec", quick_ns_per_lookup(t, batches, kBatch));
+    }
+    {
+      Prng rng(1);
+      EffTTTable t(kRows, TTShape::balanced(kRows, kDim, 3, kRank), rng);
+      efftt_ns = record("EffTT", quick_ns_per_lookup(t, batches, kBatch));
+    }
+    {
+      Prng rng(1);
+      EmbeddingBag t(kRows, kDim, rng);
+      record("DenseBag", quick_ns_per_lookup(t, batches, kBatch));
+    }
+    report.add("EffTT_over_TTRec" + suffix, {{"speedup", ttrec_ns / efftt_ns}});
+    benchutil::note("EffTT/TTRec at " + std::to_string(threads) +
+                    " thread(s): " + benchutil::fmt(ttrec_ns / efftt_ns) + "x");
   }
-  {
-    Prng rng(1);
-    EffTTTable t(kRows, TTShape::balanced(kRows, kDim, 3, kRank), rng);
-    record("EffTT", quick_ns_per_lookup(t, batches, kBatch));
-  }
-  {
-    Prng rng(1);
-    EmbeddingBag t(kRows, kDim, rng);
-    record("DenseBag", quick_ns_per_lookup(t, batches, kBatch));
-  }
+  benchutil::set_threads(all);
 
   benchutil::print_table(table);
   return report.write() ? 0 : 1;

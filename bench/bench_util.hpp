@@ -3,7 +3,9 @@
 // the perf trajectory can be tracked across PRs.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -95,6 +97,37 @@ double time_best_seconds(Fn&& fn, int reps = 5) {
     if (s < best) best = s;
   }
   return best;
+}
+
+/// Median and median absolute deviation (MAD) of a set of timed runs.
+struct MedianMad {
+  double median = 0.0;
+  double mad = 0.0;
+};
+
+/// Median-of-`reps` wall time of fn() in seconds, with its MAD. Where
+/// best-of-N reports the luckiest rep, the median reports a typical one
+/// and MAD says how far reps strayed from it; one outlier rep (a
+/// descheduled run) moves neither.
+template <typename Fn>
+MedianMad time_median_seconds(Fn&& fn, int reps = 5) {
+  std::vector<double> secs(static_cast<std::size_t>(reps));
+  for (double& s : secs) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  MedianMad out;
+  out.median = median(secs);
+  for (double& s : secs) s = std::abs(s - out.median);
+  out.mad = median(secs);
+  return out;
 }
 
 /// Number of compute threads the benchmark will actually use (OpenMP's cap

@@ -3,7 +3,7 @@
 //
 // A continuous trainer consumes the drifting Criteo-like stream (the hot
 // set migrates on a seeded schedule) and emits a checksummed checkpoint
-// every N batches; the checkpoint hook hands each one to the ModelPromoter,
+// every N batches; the main thread hands each one to the ModelPromoter,
 // which restores it, warms its serving caches from the live AccessStats
 // snapshot, and hot-swaps it behind the HotSwapBackend seam — all while
 // client threads keep a RequestScheduler under sustained Zipf load. One
@@ -167,32 +167,33 @@ int main(int argc, char** argv) {
   FaultInjector::instance().arm_from_string("online.promote.commit:1:error:1");
   std::printf("armed online.promote.commit (first promotion will be killed)\n");
 
-  std::atomic<int> killed{0};
-  trainer.start([&](const std::string& path, std::uint64_t seq) {
+  // Train -> emit -> promote on this thread while the clients keep the
+  // scheduler loaded. Each train_batches call ends on a checkpoint
+  // boundary, so it returns with a fresh durable checkpoint to promote.
+  int killed = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(smoke ? 60 : 120);
+  while (promoter.stats().promotions <
+             static_cast<std::uint64_t>(target_promotions) &&
+         std::chrono::steady_clock::now() < deadline) {
+    trainer.train_batches(tcfg.checkpoint_every_n);
+    const std::uint64_t seq = trainer.stats().checkpoints - 1;
     try {
-      const std::uint64_t id = promoter.promote(path, &trainer.access_stats());
+      const std::uint64_t id = promoter.promote(trainer.latest_checkpoint(),
+                                                &trainer.access_stats());
       std::printf("promoted checkpoint %llu -> generation %llu "
                   "(offset[0]=%lld)\n",
                   static_cast<unsigned long long>(seq),
                   static_cast<unsigned long long>(id),
                   static_cast<long long>(stream.current_offset(0)));
     } catch (const InjectedFault&) {
-      killed.fetch_add(1, std::memory_order_relaxed);
+      ++killed;
       std::printf("promotion of checkpoint %llu killed at commit; "
                   "generation %llu keeps serving\n",
                   static_cast<unsigned long long>(seq),
                   static_cast<unsigned long long>(backend.generation_id()));
     }
-  });
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(smoke ? 60 : 120);
-  while (promoter.stats().promotions <
-             static_cast<std::uint64_t>(target_promotions) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  trainer.stop();
   stop.store(true, std::memory_order_release);
   for (auto& th : clients) th.join();
   sched.shutdown();
@@ -233,9 +234,8 @@ int main(int argc, char** argv) {
                 target_promotions);
     ok = false;
   }
-  if (killed.load(std::memory_order_relaxed) != 1) {
-    std::printf("FAIL: commit fault fired %d times (expected 1)\n",
-                killed.load(std::memory_order_relaxed));
+  if (killed != 1) {
+    std::printf("FAIL: commit fault fired %d times (expected 1)\n", killed);
     ok = false;
   }
   if (backend.generation_id() != ps.promotions) {

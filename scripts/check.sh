@@ -20,7 +20,7 @@
 #   scripts/check.sh --codec         # codec smoke: gated bench_codec run
 #                                    # (bytes-on-queue reduction + loss delta
 #                                    # vs the null codec), then the codec
-#                                    # round-trip/checkpoint/all-reduce suites
+#                                    # round-trip/checkpoint/cache suites
 #   scripts/check.sh --online        # online-training smoke: online_demo
 #                                    # (train->checkpoint->promote loop with
 #                                    # live clients + one injected promoter
@@ -120,7 +120,7 @@ if [[ "$MODE" == "--codec" ]]; then
 
   echo "== sanitize-labelled codec suites =="
   # Round-trip edge cases, corruption detection, thread-count determinism,
-  # checkpoint codec provenance, cache precision, compressed all-reduce.
+  # checkpoint codec provenance, cache precision.
   ctest --test-dir "$BUILD_DIR" -L sanitize -R 'Codec' \
     --output-on-failure -j"$JOBS"
   echo "codec smoke OK"

@@ -261,8 +261,6 @@ inline std::int8_t nibble_to_i8(std::uint8_t nib) {
 
 void decode_into(const CodecWireHeader& h, const std::uint8_t* payload,
                  float* out, std::size_t n) {
-  ELREC_CHECK(n == static_cast<std::size_t>(h.rows * h.cols),
-              "decode buffer size does not match encoded shape");
   if (h.payload_kind == kCodecPayloadRawF32) {
     if (n > 0) std::memcpy(out, payload, n * sizeof(float));
     return;
@@ -345,14 +343,6 @@ void decode_blob(const EncodedBlob& blob, Matrix& out) {
   out.resize(h.rows, h.cols);
   decode_into(h, blob.data() + sizeof(CodecWireHeader), out.data(),
               static_cast<std::size_t>(out.size()));
-  codec_counters().decode_us.record(sw.microseconds());
-}
-
-void decode_blob_into(const EncodedBlob& blob, float* out, std::size_t n) {
-  TRACE_SPAN("codec.decode");
-  Stopwatch sw;
-  const CodecWireHeader h = peek_blob_header(blob);
-  decode_into(h, blob.data() + sizeof(CodecWireHeader), out, n);
   codec_counters().decode_us.record(sw.microseconds());
 }
 

@@ -1,9 +1,8 @@
 // Error-bounded compression of the pipeline's hot byte streams (§V traffic).
 //
 // The prefetch/gradient queues between the worker and the host embedding
-// store, and the data-parallel all-reduce, move pooled embedding gradients
-// and parameter rows — the bytes-on-queue bottleneck the simulator charges
-// framework cost for. An IGradCodec turns each Matrix crossing a queue into
+// store move pooled embedding gradients and parameter rows — the
+// bytes-on-queue bottleneck the simulator charges framework cost for. An IGradCodec turns each Matrix crossing a queue into
 // a self-describing EncodedBlob:
 //
 //   * NullCodec     — bitwise identity (raw fp32 payload). The default; a
@@ -129,9 +128,5 @@ CodecWireHeader peek_blob_header(const EncodedBlob& blob);
 /// Decodes a blob produced by any codec into `out` (resized to the encoded
 /// shape). Null / raw payloads decode bitwise-identically to the input.
 void decode_blob(const EncodedBlob& blob, Matrix& out);
-
-/// Decodes into a caller-owned flat buffer of exactly rows*cols == n
-/// elements (the all-reduce path, which works on parameter spans).
-void decode_blob_into(const EncodedBlob& blob, float* out, std::size_t n);
 
 }  // namespace elrec

@@ -39,8 +39,8 @@ std::vector<index_t> top_accessed_indices(SyntheticDataset& data, index_t t,
 /// RecShard statistics-driven placement loop, closed over a moving
 /// distribution. decay() halves every count so recent traffic dominates.
 ///
-/// Thread safety: all methods lock, so the training thread can observe()
-/// while a promoter thread reads top_k(). Rates are per-batch, not per-row,
+/// Thread safety: all methods lock, so the trainer's data-loading thread can
+/// observe() while another thread reads top_k(). Rates are per-batch, not per-row,
 /// so the lock is cold.
 class AccessStats {
  public:

@@ -1,12 +1,15 @@
 #include "online/online_trainer.hpp"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/fault_injector.hpp"
 #include "dlrm/model_checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/pipeline_trainer.hpp"
 
 namespace elrec {
 
@@ -24,46 +27,46 @@ OnlineTrainer::OnlineTrainer(std::unique_ptr<DlrmModel> model,
   ELREC_CHECK(!config_.checkpoint_dir.empty(), "checkpoint dir must be set");
 }
 
-OnlineTrainer::~OnlineTrainer() { stop(); }
-
-float OnlineTrainer::train_one_batch() {
+void OnlineTrainer::train_segment(std::uint64_t k) {
   static obs::Counter& batches =
       obs::MetricsRegistry::global().counter("online.batches");
-  const MiniBatch batch = stream_.next_batch(config_.batch_size);
-  // Stats first: the promoter must see the indices of every batch the
-  // parameters were updated on.
-  access_stats_.observe(batch);
-  const float loss = model_->train_step(batch, config_.lr);
-  batches.inc();
-
-  std::uint64_t n = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+  // Server thread: draw the batch and feed the stats before any step trains
+  // on it — the promoter must see the indices of every batch the parameters
+  // were updated on.
+  const BatchSource source = [&](index_t, MiniBatch& batch,
+                                 std::vector<std::vector<index_t>>&) {
+    batch = stream_.next_batch(config_.batch_size);
+    access_stats_.observe(batch);
+    ++drawn_;
+    if (config_.stats_decay_every_n > 0 &&
+        drawn_ % config_.stats_decay_every_n == 0) {
+      access_stats_.decay();
+    }
+  };
+  // Worker (this thread): every table is on the device, so the step updates
+  // the model in place and hands the runtime no host rows.
+  const ComputeStep compute = [&](index_t, const MiniBatch& batch,
+                                  const std::vector<std::vector<index_t>>&,
+                                  const std::vector<Matrix>&,
+                                  std::vector<Matrix>&) {
+    stats_.last_loss = model_->train_step(batch, config_.lr);
     ++stats_.batches;
-    stats_.last_loss = loss;
-    n = stats_.batches;
-  }
-  if (config_.stats_decay_every_n > 0 && n % config_.stats_decay_every_n == 0) {
-    access_stats_.decay();
-  }
-  return loss;
+    batches.inc();
+  };
+  const auto start = static_cast<index_t>(stats_.batches);
+  PipelineTrainer({}, PipelineConfig{})
+      .run(start + static_cast<index_t>(k), source, compute, start);
 }
 
 void OnlineTrainer::train_batches(std::uint64_t n) {
   TRACE_SPAN("online.train_batches");
-  ELREC_CHECK(!loop_.joinable(),
-              "train_batches() must not race the background loop");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    train_one_batch();
-    std::uint64_t total = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      total = stats_.batches;
-    }
-    if (config_.checkpoint_every_n > 0 &&
-        total % config_.checkpoint_every_n == 0) {
-      write_checkpoint();
-    }
+  const std::uint64_t every = config_.checkpoint_every_n;
+  while (n > 0) {
+    const std::uint64_t k =
+        every == 0 ? n : std::min(n, every - stats_.batches % every);
+    train_segment(k);
+    n -= k;
+    if (every > 0 && stats_.batches % every == 0) write_checkpoint();
   }
 }
 
@@ -71,14 +74,8 @@ std::string OnlineTrainer::write_checkpoint() {
   TRACE_SPAN("online.checkpoint");
   static obs::Counter& checkpoints =
       obs::MetricsRegistry::global().counter("online.checkpoints");
-
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    seq = next_seq_;
-  }
-  const std::string path =
-      config_.checkpoint_dir + "/gen_" + std::to_string(seq) + ".ckpt";
+  std::string path = config_.checkpoint_dir + "/gen_" +
+                     std::to_string(stats_.checkpoints) + ".ckpt";
 
   // Crash drill site: an emit killed here leaves at most a stale tmp file;
   // save_dlrm_model stages + checksums + renames, so the previous
@@ -87,71 +84,9 @@ std::string OnlineTrainer::write_checkpoint() {
   save_dlrm_model(*model_, path);
 
   checkpoints.inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_seq_ = seq + 1;
-    ++stats_.checkpoints;
-    latest_ckpt_ = path;
-  }
+  ++stats_.checkpoints;
+  latest_ckpt_ = path;
   return path;
-}
-
-void OnlineTrainer::maybe_checkpoint_background(const CheckpointHook& hook) {
-  std::uint64_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    total = stats_.batches;
-  }
-  if (config_.checkpoint_every_n == 0 ||
-      total % config_.checkpoint_every_n != 0) {
-    return;
-  }
-  std::string path;
-  std::uint64_t seq = 0;
-  try {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      seq = next_seq_;
-    }
-    path = write_checkpoint();
-  } catch (const Error&) {
-    // Training outlives a failed emit; the last durable checkpoint keeps
-    // serving promotions until the next scheduled emit succeeds.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.checkpoint_failures;
-    return;
-  }
-  if (hook) hook(path, seq);
-}
-
-void OnlineTrainer::run_loop(CheckpointHook hook) {
-  while (!stop_.load(std::memory_order_acquire)) {
-    train_one_batch();
-    maybe_checkpoint_background(hook);
-  }
-}
-
-void OnlineTrainer::start(CheckpointHook hook) {
-  ELREC_CHECK(!loop_.joinable(), "online trainer already running");
-  stop_.store(false, std::memory_order_release);
-  loop_ = std::thread([this, hook = std::move(hook)]() mutable {
-    run_loop(std::move(hook));
-  });
-}
-
-void OnlineTrainer::stop() {
-  stop_.store(true, std::memory_order_release);
-  if (loop_.joinable()) loop_.join();
-}
-
-std::string OnlineTrainer::latest_checkpoint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return latest_ckpt_;
-}
-
-OnlineTrainerStats OnlineTrainer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace elrec

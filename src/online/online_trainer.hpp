@@ -3,34 +3,34 @@
 //
 // The trainer owns the training-side DlrmModel and consumes a
 // DriftingDataset — the non-stationary variant of the Criteo-like
-// generator, whose hot set migrates on a seeded schedule. Every batch also
-// feeds the shared AccessStats, so by the time a checkpoint is cut the
-// statistics describe the traffic the *next* generation will actually see;
-// the ModelPromoter warms from exactly that snapshot.
+// generator, whose hot set migrates on a seeded schedule. It trains on the
+// pipelined runtime (PipelineTrainer) with every table on the device, so no
+// host store is involved: the runtime's server thread draws each batch from
+// the stream and feeds it to the shared AccessStats (decaying on schedule)
+// while the caller's thread runs the DLRM step on an earlier batch. By the
+// time a checkpoint is cut the statistics describe the traffic the *next*
+// generation will actually see; the ModelPromoter warms from exactly that
+// snapshot.
 //
-// Checkpoints are cut every `checkpoint_every_n` batches through
-// write_checkpoint_atomic (stage + checksum + rename), with the fault site
-// `online.checkpoint` on the emit path: a crash mid-emit loses at most the
-// tmp file — the previous checkpoint stays loadable and bitwise-intact
-// (tests/test_model_checkpoint.cpp drills this). In the background loop a
-// failed emit is counted and training continues; serving keeps promoting
-// from the last durable checkpoint.
+// train_batches() runs the runtime in segments that end at each
+// `checkpoint_every_n` boundary and cuts the checkpoint between segments,
+// so a checkpoint and the stats beside it cover exactly the batches trained
+// so far — byte-for-byte what a serial train_step loop would write.
+// Checkpoints go through write_checkpoint_atomic (stage + checksum +
+// rename), with the fault site `online.checkpoint` on the emit path: a
+// crash mid-emit loses at most the tmp file — the previous checkpoint stays
+// loadable and bitwise-intact (tests/test_model_checkpoint.cpp drills
+// this).
 //
-// Two driving modes: train_batches()/write_checkpoint() for deterministic
-// single-threaded tests, or start()/stop() for a background loop that
-// invokes the checkpoint hook (typically ModelPromoter::promote) after each
-// successful emit.
+// Single caller, like ElRecTrainer: train, emit and promote from one
+// thread (examples/online_demo.cpp runs that loop while clients keep the
+// serving tier loaded).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "common/thread_annotations.hpp"
 #include "data/drift.hpp"
 #include "data/stats.hpp"
 #include "dlrm/dlrm_model.hpp"
@@ -40,8 +40,8 @@ namespace elrec {
 struct OnlineTrainerConfig {
   float lr = 0.05f;
   index_t batch_size = 128;
-  /// Batches between checkpoint emits (and hook invocations). 0 disables
-  /// automatic emits; write_checkpoint() still works.
+  /// Batches between checkpoint emits. 0 disables automatic emits;
+  /// write_checkpoint() still works.
   std::uint64_t checkpoint_every_n = 50;
   /// Directory receiving gen_<k>.ckpt files. Must exist.
   std::string checkpoint_dir = ".";
@@ -52,30 +52,24 @@ struct OnlineTrainerConfig {
 
 struct OnlineTrainerStats {
   std::uint64_t batches = 0;
-  std::uint64_t checkpoints = 0;          // successful emits
-  std::uint64_t checkpoint_failures = 0;  // background-loop emits that threw
+  std::uint64_t checkpoints = 0;  // successful emits
   float last_loss = 0.0f;
 };
 
 class OnlineTrainer {
  public:
-  /// Called after each successful background-loop emit with the durable
-  /// checkpoint path and its sequence number. Runs on the trainer thread —
-  /// promotion work here never blocks serving, only training.
-  using CheckpointHook =
-      std::function<void(const std::string& path, std::uint64_t seq)>;
-
   /// `stream` must outlive the trainer. The model is trained in place.
   OnlineTrainer(std::unique_ptr<DlrmModel> model, DriftingDataset& stream,
                 OnlineTrainerConfig config);
-  ~OnlineTrainer();
 
   OnlineTrainer(const OnlineTrainer&) = delete;
   OnlineTrainer& operator=(const OnlineTrainer&) = delete;
 
-  /// Synchronous: trains `n` batches on the caller's thread, feeding the
-  /// access stats and cutting checkpoints on schedule (exceptions from an
-  /// emit propagate in this mode). Not concurrent with start().
+  /// Trains `n` batches on the pipelined runtime, feeding the access stats
+  /// and cutting checkpoints on schedule. A failed step throws
+  /// PipelineError naming the batch; the batches before it stay trained,
+  /// and the ones the server had already drawn are skipped. Emit failures
+  /// propagate as thrown by write_checkpoint().
   void train_batches(std::uint64_t n);
 
   /// Cuts a checkpoint of the current parameters: gen_<seq>.ckpt staged,
@@ -84,42 +78,28 @@ class OnlineTrainer {
   /// file changes — the previous checkpoint remains the latest.
   std::string write_checkpoint();
 
-  /// Background loop: one batch at a time until stop(), emitting on
-  /// schedule and invoking `hook` after each successful emit. Emit failures
-  /// are counted, not fatal.
-  void start(CheckpointHook hook);
-  void stop();
-
   /// Path of the most recent durable checkpoint ("" before the first).
-  std::string latest_checkpoint() const;
+  const std::string& latest_checkpoint() const { return latest_ckpt_; }
 
-  OnlineTrainerStats stats() const;
+  const OnlineTrainerStats& stats() const { return stats_; }
 
-  /// Live traffic statistics fed by every trained batch; the promoter warms
+  /// Live traffic statistics fed by every drawn batch; the promoter warms
   /// new generations from this.
   const AccessStats& access_stats() const { return access_stats_; }
 
   DlrmModel& model() { return *model_; }
 
  private:
-  /// One batch: draw from the drifting stream, feed stats, SGD step, decay
-  /// on schedule. Returns the batch loss.
-  float train_one_batch();
-  void maybe_checkpoint_background(const CheckpointHook& hook);
-  void run_loop(CheckpointHook hook);
+  /// Runs `k` batches through the runtime: one segment, no emit inside.
+  void train_segment(std::uint64_t k);
 
   std::unique_ptr<DlrmModel> model_;
   DriftingDataset& stream_;
   OnlineTrainerConfig config_;
   AccessStats access_stats_;
-
-  std::atomic<bool> stop_{false};
-  std::thread loop_;  // joined by stop()/dtor before members die
-
-  mutable std::mutex mu_;
-  OnlineTrainerStats stats_ ELREC_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ ELREC_GUARDED_BY(mu_) = 0;
-  std::string latest_ckpt_ ELREC_GUARDED_BY(mu_);
+  OnlineTrainerStats stats_;
+  std::uint64_t drawn_ = 0;  // batches fed to the stats; drives decay
+  std::string latest_ckpt_;
 };
 
 }  // namespace elrec

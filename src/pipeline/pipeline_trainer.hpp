@@ -6,9 +6,10 @@
 // stores. The worker (caller thread) consumes prefetched batches,
 // synchronizes each store's rows against that store's EmbeddingCache, runs
 // the compute step, refreshes the caches with the update the host will
-// apply, and pushes the gradients. This is the only pipelined training loop:
-// ElRecTrainer runs it with a DLRM step, and the tests run it with analytic
-// gradients against a sequential oracle.
+// apply, and pushes the gradients. This is the only training loop in src/:
+// ElRecTrainer runs it with a DLRM step, OnlineTrainer runs it with no host
+// store at all (the queues then carry only the batch payloads), and the
+// tests run it with analytic gradients against a sequential oracle.
 //
 // Fault tolerance: any thread failure runs the shutdown protocol — both
 // queues close, the server is joined, in-flight gradients are drained into

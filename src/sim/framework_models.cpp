@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pipeline/allreduce.hpp"
-
 namespace elrec {
 namespace {
 
@@ -169,6 +167,11 @@ IterationCost model_elrec(const DlrmWorkload& w, const DeviceSpec& dev) {
   return c;
 }
 
+double ring_bytes_per_worker(double payload_bytes, int num_workers) {
+  if (num_workers <= 1) return 0.0;
+  return 2.0 * (num_workers - 1) / num_workers * payload_bytes;
+}
+
 IterationCost model_elrec_multi(const DlrmWorkload& w, const DeviceSpec& dev,
                                 int num_gpus) {
   // Per-GPU batch shrinks; TT tables replicated -> touched gradient slices
@@ -185,7 +188,7 @@ IterationCost model_elrec_multi(const DlrmWorkload& w, const DeviceSpec& dev,
     // overlaps the backward pass (NCCL stream overlap); one collective
     // launch per iteration.
     const double wire =
-        RingAllReduce::ring_bytes_per_worker(grad_bytes, num_gpus) /
+        ring_bytes_per_worker(grad_bytes, num_gpus) /
         (2.0 * inter_gpu_gbps(dev) * kGiga);
     c.components["serial:allreduce"] = 0.5 * wire + w.collective_latency_s;
   }

@@ -43,6 +43,10 @@ IterationCost model_ttrec(const DlrmWorkload& w, const DeviceSpec& dev);
 /// EL-Rec on a single GPU, everything device-resident (Fig. 11 config).
 IterationCost model_elrec(const DlrmWorkload& w, const DeviceSpec& dev);
 
+/// Bytes a ring all-reduce (2(W-1) steps of chunked reduce-scatter +
+/// all-gather) moves per worker for a payload of n bytes: 2 * (W-1)/W * n.
+double ring_bytes_per_worker(double payload_bytes, int num_workers);
+
 /// EL-Rec / DLRM with `num_gpus` data-parallel workers (Fig. 12): TT tables
 /// replicated, MLP + TT gradients all-reduced; DLRM shards tables
 /// model-parallel instead (all-to-all).

@@ -1,8 +1,8 @@
 // Tests for the error-bounded gradient/parameter codec (src/codec) and its
 // integration points: wire-format round trips and edge cases, the decoded
 // error staying within the header's advertised bound, corruption detection,
-// thread-count determinism of encode, checkpoint codec provenance, the
-// codec-aware embedding cache, and compressed data-parallel all-reduce.
+// thread-count determinism of encode, checkpoint codec provenance, and the
+// codec-aware embedding cache.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -15,7 +15,6 @@
 
 #include "codec/grad_codec.hpp"
 #include "common/prng.hpp"
-#include "pipeline/data_parallel_trainer.hpp"
 #include "pipeline/elrec_trainer.hpp"
 #include "pipeline/embedding_cache.hpp"
 #include "pipeline/pipeline_checkpoint.hpp"
@@ -186,20 +185,6 @@ TEST(CodecRoundTrip, QuantizedPayloadIsSmaller) {
   EXPECT_LT(static_cast<double>(blob8.size()), raw / 2.0);
   EXPECT_LT(static_cast<double>(blob4.size()), raw / 4.0);
   EXPECT_LT(blob4.size(), blob8.size());
-}
-
-TEST(CodecRoundTrip, DecodeIntoFlatBufferMatchesMatrixDecode) {
-  const Matrix m = random_matrix(12, 5, 30);
-  EncodedBlob blob;
-  make_codec(dual_config(8))->encode(m, blob);
-  Matrix out;
-  decode_blob(blob, out);
-  std::vector<float> flat(m.size(), -1.0f);
-  decode_blob_into(blob, flat.data(), flat.size());
-  EXPECT_EQ(std::memcmp(flat.data(), out.data(), flat.size() * sizeof(float)),
-            0);
-  std::vector<float> wrong(m.size() + 1);
-  EXPECT_THROW(decode_blob_into(blob, wrong.data(), wrong.size()), Error);
 }
 
 // ---------------------------------------------------------------------
@@ -449,80 +434,6 @@ TEST(CodecCache, NullCodecCachesVerbatim) {
   Matrix pulled(1, 4);
   EXPECT_EQ(cache.sync({5}, pulled), 1);
   EXPECT_EQ(std::memcmp(pulled.data(), values.data(), 4 * sizeof(float)), 0);
-}
-
-// ---------------------------------------------------------------------
-// Compressed data-parallel all-reduce.
-// ---------------------------------------------------------------------
-
-DataParallelConfig dp_config(int workers, const CodecConfig& codec) {
-  DataParallelConfig cfg;
-  cfg.num_workers = workers;
-  cfg.model.num_dense = 3;
-  cfg.model.embedding_dim = 8;
-  cfg.model.bottom_hidden = {16};
-  cfg.model.top_hidden = {16};
-  cfg.tt_rank = 4;
-  cfg.tt_threshold = 1000;
-  cfg.lr = 0.05f;
-  cfg.seed = 13;
-  cfg.codec = codec;
-  return cfg;
-}
-
-DatasetSpec dp_spec() {
-  DatasetSpec spec;
-  spec.name = "codec-dp";
-  spec.num_dense = 3;
-  spec.table_rows = {2000, 50};
-  spec.num_samples = 1 << 20;
-  spec.zipf_s = 1.1;
-  return spec;
-}
-
-TEST(CodecDataParallel, LossyReplicasStayBitwiseInSync) {
-  const DatasetSpec spec = dp_spec();
-  DataParallelTrainer trainer(dp_config(3, dual_config(8)), spec);
-  SyntheticDataset data(spec, 6);
-  const DataParallelStats stats = trainer.train(data, 5, 48);
-  EXPECT_GT(stats.allreduce_encoded_bytes, 0.0);
-  EXPECT_LT(stats.allreduce_encoded_bytes, stats.allreduce_bytes);
-
-  std::vector<float> w0, w2;
-  trainer.worker_model(0).visit_parameters([&](float* p, std::size_t n) {
-    w0.insert(w0.end(), p, p + n);
-  });
-  trainer.worker_model(2).visit_parameters([&](float* p, std::size_t n) {
-    w2.insert(w2.end(), p, p + n);
-  });
-  ASSERT_EQ(w0.size(), w2.size());
-  for (std::size_t i = 0; i < w0.size(); ++i) {
-    ASSERT_EQ(w0[i], w2[i]) << "replica divergence at parameter " << i;
-  }
-}
-
-TEST(CodecDataParallel, LossyTracksExactAveraging) {
-  // Compressed delta averaging must stay close to exact parameter
-  // averaging over a short run (error-bounded deltas, not drift).
-  const DatasetSpec spec = dp_spec();
-  DataParallelTrainer exact(dp_config(2, CodecConfig{}), spec);
-  DataParallelTrainer lossy(dp_config(2, dual_config(8, 0.02f)), spec);
-  SyntheticDataset data_a(spec, 6), data_b(spec, 6);
-  exact.train(data_a, 6, 48);
-  lossy.train(data_b, 6, 48);
-  std::vector<float> we, wl;
-  exact.worker_model(0).visit_parameters([&](float* p, std::size_t n) {
-    we.insert(we.end(), p, p + n);
-  });
-  lossy.worker_model(0).visit_parameters([&](float* p, std::size_t n) {
-    wl.insert(wl.end(), p, p + n);
-  });
-  ASSERT_EQ(we.size(), wl.size());
-  float max_diff = 0.0f;
-  for (std::size_t i = 0; i < we.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(we[i] - wl[i]));
-  }
-  EXPECT_LT(max_diff, 0.05f);
 }
 
 }  // namespace

@@ -301,7 +301,7 @@ TEST_F(FaultInjectionTest, PeriodicCheckpointsAreWrittenAndLoadable) {
 }
 
 TEST_F(FaultInjectionTest, CrashMidCheckpointLeavesDurableStateAndResumes) {
-  const std::string path = temp_path("elrec_crash_ckpt.bin");
+  const std::string path = temp_path("elrec_pipeline_crash_ckpt.bin");
   std::remove(path.c_str());
   const auto batches = overlapping_batches(40, 24, 77);
 

@@ -26,7 +26,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +45,7 @@
 #include "online/hot_swap_backend.hpp"
 #include "online/model_promoter.hpp"
 #include "online/online_trainer.hpp"
+#include "pipeline/pipeline_error.hpp"
 #include "serve/request_scheduler.hpp"
 
 namespace elrec {
@@ -319,7 +322,7 @@ TEST(OnlineTrainer, EmitsLoadableCheckpointsAndFeedsStats) {
   EXPECT_EQ(a, b);
 
   // A failed emit (online.checkpoint fault) leaves the previous checkpoint
-  // as latest; train_batches propagates in synchronous mode.
+  // as latest; train_batches propagates the fault.
   auto& inj = FaultInjector::instance();
   ASSERT_EQ(inj.arm_from_string("online.checkpoint:1:error:1"), 1u);
   EXPECT_THROW(trainer.train_batches(10), InjectedFault);
@@ -329,44 +332,120 @@ TEST(OnlineTrainer, EmitsLoadableCheckpointsAndFeedsStats) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(OnlineTrainer, BackgroundLoopInvokesHookAndSurvivesEmitFaults) {
-  const std::string dir = fresh_checkpoint_dir("trainer_bg");
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void expect_same_access_stats(const AccessStats& got, const AccessStats& want,
+                              std::uint64_t batches) {
+  for (index_t t = 0; t < want.num_tables(); ++t) {
+    EXPECT_EQ(got.total(t), want.total(t))
+        << "table " << t << " after " << batches << " batches";
+    EXPECT_EQ(got.top_k(t, 1024), want.top_k(t, 1024))
+        << "table " << t << " after " << batches << " batches";
+  }
+}
+
+TEST(OnlineTrainer, PipelinedMatchesSerialTrainStepLoop) {
+  // The runtime draws batches ahead of the step, cuts segments at every
+  // checkpoint boundary and decays on the server thread; none of that may
+  // change a checkpoint byte or a stats count relative to the plain loop
+  // observe -> train_step -> decay -> emit.
+  const std::string dir = fresh_checkpoint_dir("trainer_pipelined");
+  const std::string ref_dir = fresh_checkpoint_dir("trainer_serial");
+  DriftScheduleConfig drift;
+  drift.period_batches = 6;
+  OnlineTrainerConfig tcfg;
+  tcfg.batch_size = 48;
+  tcfg.checkpoint_every_n = 7;
+  tcfg.stats_decay_every_n = 5;
+  tcfg.checkpoint_dir = dir;
+
+  DriftingDataset stream(tiny_spec(), 91, drift);
+  OnlineTrainer trainer(make_model(803), stream, tcfg);
+
+  DriftingDataset ref_stream(tiny_spec(), 91, drift);
+  auto ref_model = make_model(803);
+  AccessStats ref_stats(tiny_spec().table_rows);
+  std::uint64_t ref_batches = 0;
+  std::uint64_t ref_ckpts = 0;
+  auto serial_train = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const MiniBatch batch = ref_stream.next_batch(tcfg.batch_size);
+      ref_stats.observe(batch);
+      ref_model->train_step(batch, tcfg.lr);
+      ++ref_batches;
+      if (ref_batches % tcfg.stats_decay_every_n == 0) ref_stats.decay();
+      if (ref_batches % tcfg.checkpoint_every_n == 0) {
+        save_dlrm_model(*ref_model, ref_dir + "/gen_" +
+                                        std::to_string(ref_ckpts++) + ".ckpt");
+      }
+    }
+  };
+
+  // Calls that end mid-interval, on a boundary, and span two boundaries.
+  for (const std::uint64_t n : {10u, 4u, 16u, 1u}) {
+    trainer.train_batches(n);
+    serial_train(n);
+    ASSERT_EQ(trainer.stats().batches, ref_batches);
+    expect_same_access_stats(trainer.access_stats(), ref_stats, ref_batches);
+  }
+  ASSERT_EQ(trainer.stats().checkpoints, 4u);
+  ASSERT_EQ(ref_ckpts, 4u);
+  for (std::uint64_t k = 0; k < ref_ckpts; ++k) {
+    const std::string name = "/gen_" + std::to_string(k) + ".ckpt";
+    const std::string got = read_file(dir + name);
+    ASSERT_FALSE(got.empty()) << name;
+    EXPECT_TRUE(got == read_file(ref_dir + name))
+        << name << " differs from the serial loop's";
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(ref_dir);
+}
+
+TEST(OnlineTrainer, ComputeFaultSurfacesAsPipelineError) {
+  const std::string dir = fresh_checkpoint_dir("trainer_fault");
   DriftScheduleConfig drift;
   drift.period_batches = 16;
-  DriftingDataset stream(tiny_spec(), 78, drift);
+  DriftingDataset stream(tiny_spec(), 79, drift);
 
   OnlineTrainerConfig tcfg;
   tcfg.batch_size = 32;
   tcfg.checkpoint_every_n = 5;
   tcfg.checkpoint_dir = dir;
-  OnlineTrainer trainer(make_model(801), stream, tcfg);
+  OnlineTrainer trainer(make_model(802), stream, tcfg);
+  trainer.train_batches(10);
+  const std::string latest = dir + "/gen_1.ckpt";
+  ASSERT_EQ(trainer.latest_checkpoint(), latest);
+  const std::string latest_bytes = read_file(latest);
 
-  // Every third emit dies at the fault site; the loop must absorb it.
+  // The third step of the next segment dies inside the runtime.
   auto& inj = FaultInjector::instance();
   FaultSpec spec;
-  spec.kind = FaultKind::kError;
-  spec.probability = 0.34;
-  inj.arm("online.checkpoint", spec);
-
-  std::atomic<int> hooks{0};
-  std::atomic<std::uint64_t> last_seq{0};
-  trainer.start([&](const std::string& path, std::uint64_t seq) {
-    EXPECT_FALSE(path.empty());
-    last_seq.store(seq, std::memory_order_relaxed);
-    hooks.fetch_add(1, std::memory_order_relaxed);
-  });
-  while (hooks.load(std::memory_order_relaxed) < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  spec.skip_first = 2;
+  spec.max_fires = 1;
+  inj.arm("elrec.compute", spec);
+  try {
+    trainer.train_batches(5);
+    ADD_FAILURE() << "the armed compute fault did not surface";
+  } catch (const PipelineError& e) {
+    EXPECT_EQ(e.stage(), "worker");
+    EXPECT_EQ(e.batch_id(), 12);
   }
-  trainer.stop();
   inj.reset();
+  EXPECT_EQ(trainer.stats().batches, 12u);
+  EXPECT_EQ(trainer.stats().checkpoints, 2u);
+  EXPECT_EQ(trainer.latest_checkpoint(), latest);
+  EXPECT_TRUE(read_file(latest) == latest_bytes);
+  auto restored = make_model(902);
+  ASSERT_NO_THROW(load_dlrm_model(*restored, latest));
 
-  const auto s = trainer.stats();
-  EXPECT_GE(s.checkpoints, 3u);
-  EXPECT_GT(s.checkpoint_failures, 0u) << "fault site never fired";
-  EXPECT_FALSE(trainer.latest_checkpoint().empty());
-  auto restored = make_model(901);
-  EXPECT_NO_THROW(load_dlrm_model(*restored, trainer.latest_checkpoint()));
+  // Training continues on the same trainer and emits on schedule.
+  trainer.train_batches(3);
+  EXPECT_EQ(trainer.stats().batches, 15u);
+  EXPECT_EQ(trainer.latest_checkpoint(), dir + "/gen_2.ckpt");
+  ASSERT_NO_THROW(load_dlrm_model(*restored, trainer.latest_checkpoint()));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,15 +1,13 @@
 // Tests for the pipeline training system (§V): host store semantics, the
-// embedding cache LC protocol, ring all-reduce, and — the paper's key
-// correctness claim — pipelined training with the cache matching a
-// sequential oracle exactly, while disabling the cache reproduces the RAW
-// staleness bug.
+// embedding cache LC protocol, and — the paper's key correctness claim —
+// pipelined training with the cache matching a sequential oracle exactly,
+// while disabling the cache reproduces the RAW staleness bug.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
-#include "pipeline/allreduce.hpp"
 #include "pipeline/embedding_cache.hpp"
 #include "pipeline/host_embedding_store.hpp"
 #include "pipeline/pipeline_trainer.hpp"
@@ -98,56 +96,6 @@ TEST(EmbeddingCacheTest, PeakSizeTracksHighWater) {
   cache.retire_batch(0);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.peak_size(), 3u);
-}
-
-TEST(RingAllReduceTest, SingleWorkerIsIdentity) {
-  RingAllReduce ring(1);
-  std::vector<float> data{1.0f, 2.0f};
-  ring.allreduce_mean(0, data);
-  EXPECT_EQ(data[0], 1.0f);
-}
-
-class RingAllReduceParam : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(RingAllReduceParam, ComputesElementwiseMean) {
-  const auto [workers, n] = GetParam();
-  RingAllReduce ring(workers);
-  std::vector<std::vector<float>> data(static_cast<std::size_t>(workers));
-  std::vector<float> expected(static_cast<std::size_t>(n), 0.0f);
-  Prng rng(9);
-  for (int w = 0; w < workers; ++w) {
-    data[static_cast<std::size_t>(w)].resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const auto v = static_cast<float>(rng.normal());
-      data[static_cast<std::size_t>(w)][static_cast<std::size_t>(i)] = v;
-      expected[static_cast<std::size_t>(i)] += v / workers;
-    }
-  }
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      ring.allreduce_mean(w, data[static_cast<std::size_t>(w)]);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int w = 0; w < workers; ++w) {
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(data[static_cast<std::size_t>(w)][static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)], 1e-5f)
-          << "worker " << w << " element " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorkerAndSizeSweep, RingAllReduceParam,
-    ::testing::Values(std::make_pair(2, 10), std::make_pair(3, 7),
-                      std::make_pair(4, 64), std::make_pair(4, 3),
-                      std::make_pair(5, 1)));
-
-TEST(RingAllReduceTest, RingBytesFormula) {
-  EXPECT_DOUBLE_EQ(RingAllReduce::ring_bytes_per_worker(100.0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(RingAllReduce::ring_bytes_per_worker(100.0, 4), 150.0);
 }
 
 // ---------------------------------------------------------------------
@@ -280,6 +228,49 @@ TEST(PipelineTrainerTest, SequentialModeNeedsNoPatches) {
   const PipelineStats stats = trainer.run(
       10, list_source({overlapping_batches(10, 8, 3)}), decay_compute());
   EXPECT_EQ(stats.batches, 10);
+}
+
+TEST(PipelineTrainerTest, ZeroHostStoresRunsPayloadOnly) {
+  // With no host store (every table on the device) the runtime is a
+  // bounded producer/consumer of payloads: the server thread sources
+  // batches in order, the caller computes them in order, and no byte
+  // crosses a queue.
+  constexpr index_t kBatches = 13;
+  constexpr index_t kStart = 2;
+  std::vector<index_t> expected;
+  for (index_t b = kStart; b < kBatches; ++b) expected.push_back(b);
+
+  for (const index_t depth : {1, 4}) {
+    SCOPED_TRACE("queue depth " + std::to_string(depth));
+    std::vector<index_t> sourced, computed;
+    const BatchSource source = [&](index_t b, MiniBatch& batch,
+                                   std::vector<std::vector<index_t>>& unique) {
+      EXPECT_TRUE(unique.empty());
+      sourced.push_back(b);
+      batch.labels.assign(1, static_cast<float>(b));
+    };
+    const ComputeStep compute =
+        [&](index_t b, const MiniBatch& batch,
+            const std::vector<std::vector<index_t>>& unique,
+            const std::vector<Matrix>& rows, std::vector<Matrix>& grads) {
+          EXPECT_TRUE(unique.empty() && rows.empty() && grads.empty());
+          ASSERT_EQ(batch.labels.size(), 1u);
+          EXPECT_EQ(batch.labels[0], static_cast<float>(b));
+          computed.push_back(b);
+        };
+    PipelineConfig cfg;
+    cfg.queue_capacity = depth;
+    PipelineTrainer trainer({}, cfg);
+    const PipelineStats stats = trainer.run(kBatches, source, compute, kStart);
+
+    EXPECT_EQ(sourced, expected);
+    EXPECT_EQ(computed, expected);
+    EXPECT_EQ(stats.batches, kBatches - kStart);
+    EXPECT_EQ(stats.encoded_queue_bytes, 0u);
+    EXPECT_EQ(stats.raw_queue_bytes, 0u);
+    EXPECT_EQ(stats.rows_patched, 0);
+    EXPECT_EQ(stats.cache_peak, 0u);
+  }
 }
 
 }  // namespace

@@ -90,6 +90,11 @@ TEST(FrameworkModels, OrderingMatchesFig11) {
   }
 }
 
+TEST(FrameworkModels, RingBytesFormula) {
+  EXPECT_DOUBLE_EQ(ring_bytes_per_worker(100.0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(ring_bytes_per_worker(100.0, 4), 150.0);
+}
+
 TEST(FrameworkModels, MultiGpuElRecScalesBetterThanDlrm) {
   // Fig. 12: EL-Rec 4-GPU beats DLRM 4-GPU; DLRM 1-GPU slightly beats
   // EL-Rec 1-GPU (TT adds compute when memory is not the constraint).
