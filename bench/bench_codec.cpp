@@ -65,25 +65,29 @@ void micro(JsonBenchReport* report, int reps) {
   const double raw_bytes = static_cast<double>(g.size()) * sizeof(float);
 
   std::vector<std::vector<std::string>> table;
-  table.push_back({"Codec", "encode GB/s", "decode GB/s", "reduction"});
+  table.push_back({"Codec", "encode GB/s", "MAD", "decode GB/s", "MAD",
+                   "reduction"});
   for (const std::string name : {"null", "dual-int8", "dual-int4"}) {
     auto codec = make_codec(codec_arm(name));
     EncodedBlob blob;
     codec->encode(g, blob);  // warm scratch + seed running stats
-    const double enc_s = time_best_seconds([&] { codec->encode(g, blob); },
-                                           reps);
+    const MedianMad enc_s =
+        time_median_seconds([&] { codec->encode(g, blob); }, reps);
     Matrix out;
-    const double dec_s =
-        time_best_seconds([&] { decode_blob(blob, out); }, reps);
+    const MedianMad dec_s =
+        time_median_seconds([&] { decode_blob(blob, out); }, reps);
+    const double enc_gbps = raw_bytes / enc_s.median / 1e9;
+    const double dec_gbps = raw_bytes / dec_s.median / 1e9;
     const double reduction = raw_bytes / static_cast<double>(blob.size());
-    table.push_back({name, fmt(raw_bytes / enc_s / 1e9, 2),
-                     fmt(raw_bytes / dec_s / 1e9, 2),
+    table.push_back({name, fmt(enc_gbps, 2), fmt(enc_s.mad_pct(), 1) + "%",
+                     fmt(dec_gbps, 2), fmt(dec_s.mad_pct(), 1) + "%",
                      fmt(reduction, 2) + "x"});
     if (report != nullptr) {
-      report->add("micro_" + name,
-                  {{"encode_GB/s", raw_bytes / enc_s / 1e9},
-                   {"decode_GB/s", raw_bytes / dec_s / 1e9},
-                   {"bytes_reduction", reduction}});
+      report->add("micro_" + name, {{"encode_GB/s", enc_gbps},
+                                    {"encode_mad_pct", enc_s.mad_pct()},
+                                    {"decode_GB/s", dec_gbps},
+                                    {"decode_mad_pct", dec_s.mad_pct()},
+                                    {"bytes_reduction", reduction}});
     }
   }
   print_table(table);

@@ -10,10 +10,10 @@
 //   EffTT_Reorder  — full + index reordering
 // Paper shape: full Eff-TT ~1.70x over TT-Rec (1.40x from aggregation,
 // 1.15x from the fused update, 1.06x from reordering).
-// `--quick` measures EffTT backward throughput (batches/s) at 1 thread and
-// at all cores, checks the updated cores are bitwise identical across the
-// two runs, and writes BENCH_fig18_backward.json for the perf-regression
-// harness.
+// `--quick` measures EffTT backward time per batch (median of 8 steps, with
+// its MAD) at 1 thread and at all cores, checks the updated cores are
+// bitwise identical across the two runs, and writes
+// BENCH_fig18_backward.json for the perf-regression harness.
 #include <benchmark/benchmark.h>
 
 #ifdef _OPENMP
@@ -134,20 +134,21 @@ BENCHMARK(BM_Backward_EffTT) BACKWARD_ARGS;
 BENCHMARK(BM_Backward_EffTT_Reorder) BACKWARD_ARGS;
 
 // Trains `table` for iters steps on the pre-generated batches and returns
-// backward-only throughput (batches/s): the forward runs untimed each step
-// because backward_and_update consumes its cache.
-double backward_batches_per_s(EffTTTable& table,
-                              const std::vector<IndexBatch>& batches,
-                              const Matrix& grad, int iters) {
+// the backward-only seconds per step (median, with its MAD): the forward
+// runs untimed before each step because backward_and_update consumes its
+// cache.
+benchutil::MedianMad backward_seconds(EffTTTable& table,
+                                      const std::vector<IndexBatch>& batches,
+                                      const Matrix& grad, int iters) {
   Matrix out;
-  double secs = 0.0;
-  for (int i = 0; i < iters; ++i) {
-    const IndexBatch& batch = batches[static_cast<std::size_t>(i) % batches.size()];
-    table.forward(batch, out);
-    secs += benchutil::time_best_seconds(
-        [&] { table.backward_and_update(batch, grad, 0.01f); }, 1);
-  }
-  return iters / secs;
+  std::size_t step = 0;
+  const IndexBatch* batch = nullptr;
+  return benchutil::time_median_seconds(
+      [&] { table.backward_and_update(*batch, grad, 0.01f); }, iters,
+      [&] {
+        batch = &batches[step++ % batches.size()];
+        table.forward(*batch, out);
+      });
 }
 
 }  // namespace
@@ -173,9 +174,13 @@ int run_quick() {
   EffTTTable t_all(kRows, shape, rng_all);
 
   benchutil::set_threads(1);
-  const double rate1 = backward_batches_per_s(t1, batches, grad, kIters);
+  const benchutil::MedianMad secs1 =
+      backward_seconds(t1, batches, grad, kIters);
   benchutil::set_threads(all);
-  const double rate_all = backward_batches_per_s(t_all, batches, grad, kIters);
+  const benchutil::MedianMad secs_all =
+      backward_seconds(t_all, batches, grad, kIters);
+  const double rate1 = 1.0 / secs1.median;
+  const double rate_all = 1.0 / secs_all.median;
 
   float max_diff = 0.0f;
   for (int k = 0; k < t1.cores().shape().num_cores(); ++k) {
@@ -185,17 +190,26 @@ int run_quick() {
   const bool bitwise = max_diff == 0.0f;
 
   benchutil::JsonBenchReport report("fig18_backward");
-  report.add("EffTT_backward_t1", {{"batches/s", rate1}, {"threads", 1}});
-  report.add("EffTT_backward_tall",
-             {{"batches/s", rate_all}, {"threads", all}});
+  report.add("EffTT_backward_t1", {{"batches/s", rate1},
+                                   {"ms/batch", secs1.median * 1e3},
+                                   {"mad_ms", secs1.mad * 1e3},
+                                   {"threads", 1}});
+  report.add("EffTT_backward_tall", {{"batches/s", rate_all},
+                                     {"ms/batch", secs_all.median * 1e3},
+                                     {"mad_ms", secs_all.mad * 1e3},
+                                     {"threads", all}});
   report.add("EffTT_backward_speedup_tall_over_t1",
              {{"speedup", rate_all / rate1}});
   report.add("EffTT_backward_bitwise_identical_across_threads",
              {{"ok", bitwise ? 1.0 : 0.0}});
 
-  benchutil::print_table({{"series", "batches/s"},
-                          {"EffTT_backward_t1", benchutil::fmt(rate1)},
-                          {"EffTT_backward_tall", benchutil::fmt(rate_all)}});
+  benchutil::print_table(
+      {{"series", "batches/s", "ms/batch (median of 8)", "MAD ms"},
+       {"EffTT_backward_t1", benchutil::fmt(rate1),
+        benchutil::fmt(secs1.median * 1e3), benchutil::fmt(secs1.mad * 1e3)},
+       {"EffTT_backward_tall", benchutil::fmt(rate_all),
+        benchutil::fmt(secs_all.median * 1e3),
+        benchutil::fmt(secs_all.mad * 1e3)}});
   benchutil::note("t" + std::to_string(all) + "/t1 speedup: " +
                   benchutil::fmt(rate_all / rate1) +
                   " (1.0x expected on a single-core host)");

@@ -78,12 +78,13 @@ void BM_Gemm_TallSkinny(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm_TallSkinny)->Arg(512)->Arg(4096)->MinTime(0.05);
 
-// Best-of-5 ns per call of a tiny (4 x 16) * (16 x 32) gemm, the size of one
-// TT-core product. `nested` makes the calls from inside a parallel region
-// (every thread calls on its own C, as batched_gemm does), so the figure is
-// thread time per call there. A kernel that enters the OpenMP runtime for
-// work it then runs serially shows up here as hundreds of ns per call.
-double tiny_gemm_ns_per_call(bool nested) {
+// Median-of-5 ns per call (with its MAD) of a tiny (4 x 16) * (16 x 32)
+// gemm, the size of one TT-core product. `nested` makes the calls from
+// inside a parallel region (every thread calls on its own C, as batched_gemm
+// does), so the figure is thread time per call there. A kernel that enters
+// the OpenMP runtime for work it then runs serially shows up here as
+// hundreds of ns per call.
+benchutil::MedianMad tiny_gemm_ns_per_call(bool nested) {
   constexpr index_t m = 4, k = 16, n = 32;
   constexpr int kCalls = 20000;
   Prng rng(4);
@@ -113,15 +114,22 @@ double tiny_gemm_ns_per_call(bool nested) {
     }
   };
   run();
-  return benchutil::time_best_seconds(run, 5) / kCalls * 1e9;
+  const benchutil::MedianMad secs = benchutil::time_median_seconds(run, 5);
+  return {secs.median / kCalls * 1e9, secs.mad / kCalls * 1e9};
 }
 
-// Best-of-5 GFLOP/s of `fn`, which must perform `flops` float operations.
+// GFLOP/s at the median of 5 timed runs of `fn`, which must perform `flops`
+// float operations, and the runs' MAD as a percentage of their median.
+struct Gflops {
+  double gflops = 0.0;
+  double mad_pct = 0.0;
+};
+
 template <typename Fn>
-double quick_gflops(double flops, Fn&& fn) {
+Gflops quick_gflops(double flops, Fn&& fn) {
   fn();  // warm up caches and the page tables
-  const double secs = benchutil::time_best_seconds(fn, 5);
-  return flops / secs / 1e9;
+  const benchutil::MedianMad secs = benchutil::time_median_seconds(fn, 5);
+  return {flops / secs.median / 1e9, secs.mad_pct()};
 }
 
 }  // namespace
@@ -129,10 +137,16 @@ double quick_gflops(double flops, Fn&& fn) {
 int run_quick() {
   benchutil::header("GEMM substrate (--quick)");
   benchutil::JsonBenchReport report("gemm_substrate");
-  std::vector<std::vector<std::string>> table{{"kernel", "GFLOP/s"}};
-  const auto record = [&](const std::string& name, double gf) {
-    report.add(name, {{"GFLOP/s", gf}});
-    table.push_back({name, benchutil::fmt(gf)});
+  std::vector<std::vector<std::string>> table{
+      {"kernel", "median of 5", "MAD"}};
+  const auto record = [&](const std::string& name, const Gflops& gf,
+                          int threads = 0) {
+    std::vector<std::pair<std::string, double>> metrics{
+        {"GFLOP/s", gf.gflops}, {"mad_pct", gf.mad_pct}};
+    if (threads > 0) metrics.emplace_back("threads", threads);
+    report.add(name, std::move(metrics));
+    table.push_back({name, benchutil::fmt(gf.gflops) + " GFLOP/s",
+                     benchutil::fmt(gf.mad_pct) + "%"});
   };
   Prng rng(1);
 
@@ -142,7 +156,7 @@ int run_quick() {
     Matrix a(n, n), b(n, n), c(n, n);
     a.fill_normal(rng);
     b.fill_normal(rng);
-    const double gf = quick_gflops(2.0 * n * n * n, [&] {
+    const Gflops gf = quick_gflops(2.0 * n * n * n, [&] {
       gemm(Trans::kNo, Trans::kNo, n, n, n, 1.0f, a.data(), n, b.data(), n,
            0.0f, c.data(), n);
     });
@@ -154,7 +168,7 @@ int run_quick() {
     Matrix x(m, 64), w(64, 256), y(m, 256);
     x.fill_normal(rng);
     w.fill_normal(rng);
-    const double gf = quick_gflops(2.0 * m * 256 * 64, [&] {
+    const Gflops gf = quick_gflops(2.0 * m * 256 * 64, [&] {
       gemm(Trans::kNo, Trans::kNo, m, 256, 64, 1.0f, x.data(), 64, w.data(),
            256, 0.0f, y.data(), 256);
     });
@@ -175,7 +189,7 @@ int run_quick() {
     }
     BatchedGemmShape shape{n1,   n2r2, r1,        r1,        n2r2, n2r2,
                            1.0f, 0.0f, Trans::kNo, Trans::kNo};
-    const double gf = quick_gflops(2.0 * n1 * n2r2 * r1 * products,
+    const Gflops gf = quick_gflops(2.0 * n1 * n2r2 * r1 * products,
                                    [&] { batched_gemm(shape, pa, pb, pc); });
     record("batched_gemm_ttprefix_1024", gf);
   }
@@ -188,10 +202,10 @@ int run_quick() {
     std::vector<float> xt(static_cast<std::size_t>(m), 0.5f);
     std::vector<float> y(static_cast<std::size_t>(m));
     std::vector<float> yt(static_cast<std::size_t>(n));
-    const double gf_n = quick_gflops(2.0 * m * n, [&] {
+    const Gflops gf_n = quick_gflops(2.0 * m * n, [&] {
       gemv(Trans::kNo, m, n, 1.0f, a.data(), n, x.data(), 0.0f, y.data());
     });
-    const double gf_t = quick_gflops(2.0 * m * n, [&] {
+    const Gflops gf_t = quick_gflops(2.0 * m * n, [&] {
       gemv(Trans::kYes, m, n, 1.0f, a.data(), n, xt.data(), 0.0f, yt.data());
     });
     record("gemv_n_2048", gf_n);
@@ -213,20 +227,16 @@ int run_quick() {
     for (const int threads : {1, all}) {
       benchutil::set_threads(threads);
       const std::string suffix = threads == 1 ? "_t1" : "_tall";
-      const double gf_dw = quick_gflops(flops, [&] {
+      const Gflops gf_dw = quick_gflops(flops, [&] {
         gemm(Trans::kYes, Trans::kNo, fan_in, fan_out, batch, 1.0f, x.data(),
              fan_in, g.data(), fan_out, 0.0f, dw.data(), fan_out);
       });
-      const double gf_dx = quick_gflops(flops, [&] {
+      const Gflops gf_dx = quick_gflops(flops, [&] {
         gemm(Trans::kNo, Trans::kYes, batch, fan_in, fan_out, 1.0f, g.data(),
              fan_out, w.data(), fan_out, 0.0f, dx.data(), fan_in);
       });
-      report.add("gemm_tn_dw_64x32_k4096" + suffix,
-                 {{"GFLOP/s", gf_dw}, {"threads", threads}});
-      report.add("gemm_nt_dx_4096x64_k32" + suffix,
-                 {{"GFLOP/s", gf_dx}, {"threads", threads}});
-      table.push_back({"gemm_tn_dw_64x32_k4096" + suffix, benchutil::fmt(gf_dw)});
-      table.push_back({"gemm_nt_dx_4096x64_k32" + suffix, benchutil::fmt(gf_dx)});
+      record("gemm_tn_dw_64x32_k4096" + suffix, gf_dw, threads);
+      record("gemm_nt_dx_4096x64_k32" + suffix, gf_dx, threads);
     }
     benchutil::set_threads(all);
   }
@@ -240,9 +250,12 @@ int run_quick() {
         const std::string name = std::string("gemm_tiny_4x16x32_") +
                                  (nested ? "nested" : "top") +
                                  (threads == 1 ? "_t1" : "_tall");
-        const double ns = tiny_gemm_ns_per_call(nested);
-        report.add(name, {{"ns/call", ns}, {"threads", threads}});
-        table.push_back({name, benchutil::fmt(ns) + " ns/call"});
+        const benchutil::MedianMad ns = tiny_gemm_ns_per_call(nested);
+        report.add(name, {{"ns/call", ns.median},
+                          {"mad_ns", ns.mad},
+                          {"threads", threads}});
+        table.push_back({name, benchutil::fmt(ns.median) + " ns/call",
+                         benchutil::fmt(ns.mad) + " ns"});
       }
     }
     benchutil::set_threads(all);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -82,37 +83,27 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
-/// Best-of-`reps` wall time of fn() in seconds. Min (not mean) because the
-/// quick harness shares machines with the build; the fastest rep is the one
-/// least polluted by scheduling noise.
-template <typename Fn>
-double time_best_seconds(Fn&& fn, int reps = 5) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (s < best) best = s;
-  }
-  return best;
-}
-
 /// Median and median absolute deviation (MAD) of a set of timed runs.
 struct MedianMad {
   double median = 0.0;
   double mad = 0.0;
+
+  /// MAD as a percentage of the median: the spread of a rate derived from
+  /// these times (GFLOP/s, batches/s), to first order.
+  double mad_pct() const { return median > 0.0 ? 100.0 * mad / median : 0.0; }
 };
 
-/// Median-of-`reps` wall time of fn() in seconds, with its MAD. Where
-/// best-of-N reports the luckiest rep, the median reports a typical one
-/// and MAD says how far reps strayed from it; one outlier rep (a
-/// descheduled run) moves neither.
+/// Median-of-`reps` wall time of fn() in seconds, with its MAD. The median
+/// reports a typical rep and MAD says how far reps strayed from it; one
+/// outlier rep (a descheduled run) moves neither. `untimed`, when given,
+/// runs before every rep outside the timed region (e.g. the forward pass a
+/// timed backward consumes).
 template <typename Fn>
-MedianMad time_median_seconds(Fn&& fn, int reps = 5) {
+MedianMad time_median_seconds(Fn&& fn, int reps = 5,
+                              const std::function<void()>& untimed = {}) {
   std::vector<double> secs(static_cast<std::size_t>(reps));
   for (double& s : secs) {
+    if (untimed) untimed();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -216,11 +216,9 @@ void EffTTTable::forward(const IndexBatch& batch, Matrix& out) {
   stats_.total_indices = batch.num_indices();
 
   remap_rows(batch.indices, cached_rows_);
-  const index_t b = batch.batch_size();
-  const index_t n = dim();
-  out.resize(b, n);
 
   if (!config_.intermediate_reuse) {
+    out.resize(batch.batch_size(), dim());
     forward_no_reuse(batch, cached_rows_, out);
     forward_cache_valid_ = false;
     return;
@@ -245,29 +243,9 @@ void EffTTTable::forward(const IndexBatch& batch, Matrix& out) {
 
   {
     TRACE_SPAN("efftt.pool");
-    pool_unique_rows(batch, cached_unique_, unique_rows_buf_, out);
+    pool_unique_rows(batch, cached_unique_.occurrence, unique_rows_buf_, out);
   }
   forward_cache_valid_ = true;
-}
-
-void EffTTTable::pool_unique_rows(const IndexBatch& batch,
-                                  const UniqueIndexMap& unique,
-                                  const Matrix& unique_rows, Matrix& out) {
-  // Sum pooling (paper Step 4), gathering from the deduped rows. Per-bag
-  // sums run in ascending position order, so the result is independent of
-  // the thread count AND of how the batch was composed (a request pooled
-  // alone or inside a coalesced micro-batch sums identically).
-  const index_t b = batch.batch_size();
-  const index_t n = out.cols();
-  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
-    float* dst = out.row(s);
-    for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
-      const float* src =
-          unique_rows.row(unique.occurrence[static_cast<std::size_t>(pos)]);
-#pragma omp simd
-      for (index_t j = 0; j < n; ++j) dst[j] += src[j];
-    }
-  });
 }
 
 std::unique_ptr<ILookupContext> EffTTTable::make_lookup_context() const {
@@ -275,21 +253,18 @@ std::unique_ptr<ILookupContext> EffTTTable::make_lookup_context() const {
                                               prefix_floats(cores_.shape()));
 }
 
-void EffTTTable::lookup(const IndexBatch& batch, Matrix& out,
-                        ILookupContext* ctx) const {
+void EffTTTable::materialize_rows(const std::vector<index_t>& rows,
+                                  Matrix& values, ILookupContext* ctx) const {
   TRACE_SPAN("efftt.lookup");
   auto* ws = dynamic_cast<EffTTLookupContext*>(ctx);
   ELREC_CHECK(ws != nullptr,
-              "EffTTTable::lookup needs the context returned by "
+              "EffTTTable::materialize_rows needs the context returned by "
               "make_lookup_context() — one per concurrent reader");
-  batch.validate(num_rows_);
-  remap_rows(batch.indices, ws->rows);
-  ws->unique = build_unique_index_map(ws->rows);
-  fill_prefix_products(ws->unique.unique, ws->reuse, ws->prep);
-  expand_rows_from_prefixes(ws->unique.unique, ws->reuse, ws->prep,
-                            ws->unique_rows, ws->sa, ws->sb);
-  out.resize(batch.batch_size(), dim());
-  pool_unique_rows(batch, ws->unique, ws->unique_rows, out);
+  check_rows_in_range(rows, num_rows_);
+  remap_rows(rows, ws->rows);
+  fill_prefix_products(ws->rows, ws->reuse, ws->prep);
+  expand_rows_from_prefixes(ws->rows, ws->reuse, ws->prep, values, ws->sa,
+                            ws->sb);
 }
 
 void EffTTTable::forward_no_reuse(const IndexBatch& batch,

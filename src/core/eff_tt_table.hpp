@@ -25,12 +25,13 @@
 //    so at most one thread may drive them at a time (the pipeline's worker
 //    role). They must never run concurrently with each other or with any
 //    other member on the same table.
-//  * lookup() is the SERVING entry point. It is const, touches only the TT
-//    cores / bijection (read-only) and a caller-owned EffTTLookupContext, so
-//    any number of threads may call it concurrently on one frozen table —
-//    provided each thread passes its own context from make_lookup_context()
-//    (the per-worker reuse buffer) and nothing mutates the table meanwhile.
-//    Sharing one context between threads is a data race.
+//  * materialize_rows() is the SERVING entry point. It is const, touches
+//    only the TT cores / bijection (read-only) and a caller-owned
+//    EffTTLookupContext, so any number of threads may call it concurrently
+//    on one frozen table — provided each thread passes its own context from
+//    make_lookup_context() (the per-worker reuse buffer) and nothing mutates
+//    the table meanwhile. Sharing one context between threads is a data
+//    race.
 #pragma once
 
 #include <span>
@@ -51,9 +52,10 @@ struct EffTTConfig {
   bool fused_update = true;            // §III-B fused TT-core update
 };
 
-/// Per-reader scratch for EffTTTable::lookup(): a private reuse buffer,
-/// pointer-prep lists and row staging, so concurrent const readers never
-/// touch shared mutable state. Obtain via EffTTTable::make_lookup_context().
+/// Per-reader scratch for EffTTTable::materialize_rows(): a private reuse
+/// buffer, pointer-prep lists and row staging, so concurrent const readers
+/// never touch shared mutable state. Obtain via
+/// EffTTTable::make_lookup_context().
 class EffTTLookupContext final : public ILookupContext {
  public:
   EffTTLookupContext(index_t num_prefixes, index_t slot_floats)
@@ -63,9 +65,7 @@ class EffTTLookupContext final : public ILookupContext {
   friend class EffTTTable;
   ReuseBuffer reuse;
   PointerPrepResult prep;
-  std::vector<index_t> rows;       // remapped physical rows of the batch
-  UniqueIndexMap unique;
-  Matrix unique_rows;              // one materialized row per unique index
+  std::vector<index_t> rows;       // remapped physical rows
   std::vector<float> sa, sb;       // chain_suffix scratch (d > 3)
 };
 
@@ -84,15 +84,16 @@ class EffTTTable final : public IEmbeddingTable {
   void backward_and_update(const IndexBatch& batch, const Matrix& grad_out,
                            float lr) override;
 
-  /// Allocates the per-reader reuse buffer + scratch for lookup().
+  /// Allocates the per-reader reuse buffer + scratch for materialize_rows().
   std::unique_ptr<ILookupContext> make_lookup_context() const override;
 
-  /// Frozen forward (see the thread-safety contract above): same two-level
-  /// reuse algorithm as forward(), identical float operation order — the
-  /// produced rows are bitwise equal to forward()'s for the same cores —
-  /// but all mutable state lives in `ctx`, so concurrent readers are safe.
-  void lookup(const IndexBatch& batch, Matrix& out,
-              ILookupContext* ctx) const override;
+  /// Frozen row path (see the thread-safety contract above): remaps the
+  /// rows, shares C1*C2 prefix products among them and expands each row
+  /// into `values`, with forward()'s float operation order — the rows are
+  /// bitwise equal to forward()'s for the same cores — but all mutable
+  /// state lives in `ctx`, so concurrent readers are safe.
+  void materialize_rows(const std::vector<index_t>& rows, Matrix& values,
+                        ILookupContext* ctx) const override;
 
   std::size_t parameter_bytes() const override {
     return cores_.parameter_bytes();
@@ -149,11 +150,6 @@ class EffTTTable final : public IEmbeddingTable {
                                         const PointerPrepResult& prep,
                                         Matrix& dst, std::vector<float>& sa,
                                         std::vector<float>& sb) const;
-
-  // Sum pooling (paper Step 4) of deduped rows into per-sample outputs.
-  static void pool_unique_rows(const IndexBatch& batch,
-                               const UniqueIndexMap& unique,
-                               const Matrix& unique_rows, Matrix& out);
 
   // Training wrappers over the two stages: use the member reuse buffer /
   // prep lists and update stats_.

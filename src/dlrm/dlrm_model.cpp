@@ -90,7 +90,7 @@ DlrmInferenceWorkspace DlrmModel::make_inference_workspace() const {
 void DlrmModel::predict_frozen(const MiniBatch& batch,
                                std::vector<float>& probs,
                                DlrmInferenceWorkspace& ws,
-                               const TableLookupFn& table_lookup) const {
+                               const RowResolver& resolve_rows) const {
   ELREC_CHECK(batch.dense.cols() == config_.num_dense,
               "dense feature width mismatch");
   ELREC_CHECK(batch.sparse.size() == tables_.size(),
@@ -98,6 +98,7 @@ void DlrmModel::predict_frozen(const MiniBatch& batch,
   ELREC_CHECK(ws.table_ctx.size() == tables_.size() &&
                   ws.emb_out.size() == tables_.size(),
               "workspace not from make_inference_workspace()");
+  ELREC_CHECK(resolve_rows != nullptr, "predict_frozen needs a row resolver");
 
   bottom_mlp_.forward_frozen(batch.dense, ws.bottom_out, ws.mlp_scratch_a,
                              ws.mlp_scratch_b);
@@ -106,13 +107,18 @@ void DlrmModel::predict_frozen(const MiniBatch& batch,
   features.reserve(tables_.size() + 1);
   features.push_back(&ws.bottom_out);
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    ILookupContext* ctx = ws.table_ctx[t].get();
-    if (table_lookup) {
-      table_lookup(static_cast<index_t>(t), batch.sparse[t], ws.emb_out[t],
-                   ctx);
-    } else {
-      tables_[t]->lookup(batch.sparse[t], ws.emb_out[t], ctx);
-    }
+    const IndexBatch& ib = batch.sparse[t];
+    // Validated here, before any resolver indexes per-row state (the
+    // serving cache) by these rows.
+    ib.validate(tables_[t]->num_rows());
+    ws.unique = build_unique_index_map(ib.indices);
+    resolve_rows(static_cast<index_t>(t), ws.unique.unique, ws.unique_rows,
+                 ws.table_ctx[t].get());
+    ELREC_CHECK(ws.unique_rows.rows() ==
+                        static_cast<index_t>(ws.unique.unique.size()) &&
+                    ws.unique_rows.cols() == config_.embedding_dim,
+                "row resolver must fill one row per unique index");
+    pool_unique_rows(ib, ws.unique.occurrence, ws.unique_rows, ws.emb_out[t]);
     features.push_back(&ws.emb_out[t]);
   }
 

@@ -17,12 +17,15 @@
 
 namespace elrec {
 
-/// Per-reader scratch for DlrmModel::predict_frozen(): activation buffers
-/// plus one ILookupContext per embedding table. One instance per concurrent
-/// inference thread; obtain via DlrmModel::make_inference_workspace().
+/// Per-reader scratch for DlrmModel::predict_frozen(): activation buffers,
+/// the per-table dedup scratch, plus one ILookupContext per embedding table.
+/// One instance per concurrent inference thread; obtain via
+/// DlrmModel::make_inference_workspace().
 struct DlrmInferenceWorkspace {
   Matrix bottom_out;
   std::vector<Matrix> emb_out;
+  UniqueIndexMap unique;  // one table's deduplicated indices
+  Matrix unique_rows;     // ... and their resolved rows
   Matrix interact_out;
   Matrix logits;
   Matrix mlp_scratch_a, mlp_scratch_b;
@@ -61,20 +64,25 @@ class DlrmModel {
   /// context per table).
   DlrmInferenceWorkspace make_inference_workspace() const;
 
-  /// Overrides how predict_frozen() resolves one table's pooled embeddings
-  /// (the serving cache hooks in here). Must fill `out` exactly as
-  /// table(t).lookup() would.
-  using TableLookupFn = std::function<void(
-      index_t t, const IndexBatch& batch, Matrix& out, ILookupContext* ctx)>;
+  /// Resolves the deduplicated rows of table `t` for predict_frozen():
+  /// values.row(i) must receive exactly what
+  /// table(t).materialize_rows(rows, values, ctx) would write for rows[i].
+  /// A plain materialize_rows call, a serving cache or a shard tier plugs
+  /// in here; `ctx` is the workspace's context for table t.
+  using RowResolver =
+      std::function<void(index_t t, const std::vector<index_t>& rows,
+                         Matrix& values, ILookupContext* ctx)>;
 
   /// Inference-only forward + sigmoid: identical probabilities to predict()
   /// (bitwise, for the same parameters) but strictly read-only — all
   /// mutable state lives in `ws`, so any number of threads may serve
   /// requests concurrently from one frozen model. `batch.labels` may be
-  /// empty. Embedding tables must support the lookup() path.
+  /// empty. Each table's indices are deduplicated once, `resolve_rows`
+  /// (required) supplies the unique rows, and they are sum-pooled with
+  /// pool_unique_rows() — the loop forward() pools with.
   void predict_frozen(const MiniBatch& batch, std::vector<float>& probs,
                       DlrmInferenceWorkspace& ws,
-                      const TableLookupFn& table_lookup = {}) const;
+                      const RowResolver& resolve_rows) const;
 
   /// One SGD training step; returns the batch BCE loss.
   float train_step(const MiniBatch& batch, float lr);

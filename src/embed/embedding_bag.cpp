@@ -1,5 +1,7 @@
 #include "embed/embedding_bag.hpp"
 
+#include <cstring>
+
 #include "common/parallel.hpp"
 #include "tensor/vector_ops.hpp"
 
@@ -33,20 +35,15 @@ void EmbeddingBag::forward(const IndexBatch& batch, Matrix& out) {
   });
 }
 
-void EmbeddingBag::lookup(const IndexBatch& batch, Matrix& out,
-                          ILookupContext* /*ctx*/) const {
-  batch.validate(num_rows());
-  const index_t b = batch.batch_size();
+void EmbeddingBag::materialize_rows(const std::vector<index_t>& rows,
+                                    Matrix& values,
+                                    ILookupContext* /*ctx*/) const {
+  check_rows_in_range(rows, num_rows());
   const index_t d = dim();
-  out.resize(b, d);
-  for (index_t s = 0; s < b; ++s) {
-    float* dst = out.row(s);
-    for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
-      const float* src =
-          weights_.row(batch.indices[static_cast<std::size_t>(p)]);
-#pragma omp simd
-      for (index_t j = 0; j < d; ++j) dst[j] += src[j];
-    }
+  values.resize(static_cast<index_t>(rows.size()), d);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(values.row(static_cast<index_t>(i)), weights_.row(rows[i]),
+                sizeof(float) * static_cast<std::size_t>(d));
   }
 }
 

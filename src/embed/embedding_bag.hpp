@@ -26,10 +26,10 @@ class EmbeddingBag final : public IEmbeddingTable {
   void backward_and_update(const IndexBatch& batch, const Matrix& grad_out,
                            float lr) override;
 
-  /// Frozen lookup: pure gather + sum over const weights, safe for any
-  /// number of concurrent readers. Needs no context (nullptr accepted).
-  void lookup(const IndexBatch& batch, Matrix& out,
-              ILookupContext* ctx) const override;
+  /// Frozen row gather over const weights, safe for any number of
+  /// concurrent readers. Needs no context (nullptr accepted).
+  void materialize_rows(const std::vector<index_t>& rows, Matrix& values,
+                        ILookupContext* ctx) const override;
 
   std::size_t parameter_bytes() const override {
     return static_cast<std::size_t>(weights_.size()) * sizeof(float);

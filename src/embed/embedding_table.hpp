@@ -20,9 +20,10 @@ namespace elrec {
 /// parameter averaging and checkpointing).
 using ParameterVisitor = std::function<void(float*, std::size_t)>;
 
-/// Opaque per-reader scratch for the const lookup() path. Implementations
-/// that need working memory (e.g. the Eff-TT reuse buffer) subclass this;
-/// each concurrent reader owns exactly one context and never shares it.
+/// Opaque per-reader scratch for the const materialize_rows() path.
+/// Implementations that need working memory (e.g. the Eff-TT reuse buffer)
+/// subclass this; each concurrent reader owns exactly one context and never
+/// shares it.
 class ILookupContext {
  public:
   virtual ~ILookupContext() = default;
@@ -41,24 +42,30 @@ class IEmbeddingTable {
   /// Sum-pooled lookup: out is resized to (batch_size x dim).
   virtual void forward(const IndexBatch& batch, Matrix& out) = 0;
 
-  /// Allocates the per-reader scratch consumed by lookup(). Returns nullptr
-  /// when the implementation needs none (the context is still accepted).
+  /// Allocates the per-reader scratch consumed by materialize_rows().
+  /// Returns nullptr when the implementation needs none (the context is
+  /// still accepted).
   virtual std::unique_ptr<ILookupContext> make_lookup_context() const {
     return nullptr;
   }
 
-  /// Frozen read-only sum-pooled lookup — the serving path. Unlike forward()
-  /// it mutates nothing on the table, so any number of threads may call it
-  /// concurrently on the same table as long as each passes its own context
-  /// from make_lookup_context(). Must produce bitwise-identical rows to
-  /// forward() for the same parameters. Implementations that cannot offer a
-  /// const path keep this default, which throws.
-  virtual void lookup(const IndexBatch& batch, Matrix& out,
-                      ILookupContext* ctx) const {
-    (void)batch;
-    (void)out;
+  /// Frozen read-only row materialization — the serving path. values is
+  /// resized to (rows.size() x dim) and values.row(i) receives the unpooled
+  /// embedding of rows[i]; rows may come in any order and repeat. Unlike
+  /// forward() it mutates nothing on the table, so any number of threads may
+  /// call it concurrently on the same table as long as each passes its own
+  /// context from make_lookup_context(). Each row is bitwise-identical to the
+  /// one forward() pools for the same parameters; deduplication and sum
+  /// pooling are the caller's (DlrmModel::predict_frozen). Throws on a row
+  /// outside [0, num_rows). Implementations that cannot offer a const path
+  /// keep this default, which throws.
+  virtual void materialize_rows(const std::vector<index_t>& rows,
+                                Matrix& values, ILookupContext* ctx) const {
+    (void)rows;
+    (void)values;
     (void)ctx;
-    throw Error(name() + " does not support the frozen lookup() path");
+    throw Error(name() +
+                " does not support the frozen materialize_rows() path");
   }
 
   /// Applies gradients for the most recent forward. grad_out is

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace elrec {
 
@@ -36,7 +37,11 @@ void IndexBatch::validate(index_t num_rows) const {
   for (std::size_t i = 1; i < offsets.size(); ++i) {
     ELREC_CHECK(offsets[i] >= offsets[i - 1], "offsets must be nondecreasing");
   }
-  for (index_t idx : indices) {
+  check_rows_in_range(indices, num_rows);
+}
+
+void check_rows_in_range(const std::vector<index_t>& rows, index_t num_rows) {
+  for (index_t idx : rows) {
     ELREC_CHECK(idx >= 0 && idx < num_rows, "embedding index out of range");
   }
 }
@@ -60,6 +65,23 @@ UniqueIndexMap build_unique_index_map(const std::vector<index_t>& indices) {
         static_cast<index_t>(map.unique.size() - 1);
   }
   return map;
+}
+
+void pool_unique_rows(const IndexBatch& batch,
+                      const std::vector<index_t>& occurrence,
+                      const Matrix& unique_rows, Matrix& out) {
+  const index_t b = batch.batch_size();
+  const index_t n = unique_rows.cols();
+  out.resize(b, n);  // zero-filled: every bag sums from zero
+  parallel_for(index_t{0}, b, b >= 256, [&](index_t s) {
+    float* dst = out.row(s);
+    for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
+      const float* src =
+          unique_rows.row(occurrence[static_cast<std::size_t>(pos)]);
+#pragma omp simd
+      for (index_t j = 0; j < n; ++j) dst[j] += src[j];
+    }
+  });
 }
 
 }  // namespace elrec

@@ -50,4 +50,18 @@ struct UniqueIndexMap {
 
 UniqueIndexMap build_unique_index_map(const std::vector<index_t>& indices);
 
+/// Throws if any row is outside [0, num_rows).
+void check_rows_in_range(const std::vector<index_t>& rows, index_t num_rows);
+
+/// Sum pooling (paper Step 4) from deduplicated rows: out is resized to
+/// (batch_size x unique_rows.cols()) and out.row(s) becomes the sum of
+/// unique_rows.row(occurrence[pos]) over bag s. Each bag sums from zero in
+/// ascending position order, so the result is independent of the thread
+/// count AND of how the batch was composed (a request pooled alone or
+/// inside a coalesced micro-batch sums identically). `occurrence` maps each
+/// position of batch.indices to its row of `unique_rows`.
+void pool_unique_rows(const IndexBatch& batch,
+                      const std::vector<index_t>& occurrence,
+                      const Matrix& unique_rows, Matrix& out);
+
 }  // namespace elrec

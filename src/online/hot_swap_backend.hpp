@@ -1,12 +1,12 @@
 // Zero-downtime generation swap behind the IRankingBackend seam.
 //
 // A ServingGeneration bundles everything one promoted model needs to stay
-// alive while requests reference it: the frozen InferenceSession restored
-// from a checkpoint and, for the sharded tier, the per-shard sessions,
-// ShardServers and the failover ShardRouter built over them. HotSwapBackend
-// is the IRankingBackend a RequestScheduler fronts: predict() pins the
-// current generation with a shared_ptr copy for exactly the duration of one
-// micro-batch, so
+// alive while requests reference it: the frozen InferenceSession over the
+// model restored from a checkpoint and, for the sharded tier, the per-shard
+// sessions (sharing that model), ShardServers and the failover ShardRouter
+// built over them. HotSwapBackend is the IRankingBackend a RequestScheduler
+// fronts: predict() pins the current generation with a shared_ptr copy for
+// exactly the duration of one micro-batch, so
 //
 //  * no request ever observes a torn model — each forward runs start to
 //    finish against one frozen generation, bitwise-equal to that
@@ -36,10 +36,11 @@
 
 namespace elrec {
 
-/// One promotable serving generation. The tier runs no threads of its
-/// own; members are ordered so destruction tears it down outermost-first —
-/// the router before the shard servers it calls, before the sessions the
-/// servers borrow — and nothing outlives what it references.
+/// One promotable serving generation: one restored model, shared by every
+/// session below. The tier runs no threads of its own; members are ordered
+/// so destruction tears it down outermost-first — the router before the
+/// shard servers it calls, before the sessions the servers borrow — and
+/// nothing outlives what it references (the sessions co-own the model).
 struct ServingGeneration {
   std::uint64_t id = 0;
   std::string checkpoint_path;
@@ -48,7 +49,8 @@ struct ServingGeneration {
   /// router's degraded-mode fallback. Always set.
   std::unique_ptr<InferenceSession> session;
   /// Sharded tier (empty for a local-only generation). One session per
-  /// shard — full TT-compressed model each, RecShard-warmed partition.
+  /// shard over the same model as `session` — its own RecShard-warmed
+  /// cache partition is all that differs.
   std::vector<std::unique_ptr<InferenceSession>> shard_sessions;
   std::vector<std::unique_ptr<ShardServer>> servers;
   std::unique_ptr<ShardRouter> router;

@@ -35,21 +35,19 @@ ModelPromoter::ModelPromoter(HotSwapBackend& target, ModelFactory make_model,
 
 ModelPromoter::~ModelPromoter() = default;
 
-std::unique_ptr<InferenceSession> ModelPromoter::restore_session(
-    const std::string& checkpoint_path) const {
-  std::unique_ptr<DlrmModel> model = make_model_();
-  ELREC_CHECK(model != nullptr, "model factory returned null");
-  load_dlrm_model(*model, checkpoint_path);
-  return std::make_unique<InferenceSession>(std::move(model), config_.session);
-}
-
 std::shared_ptr<ServingGeneration> ModelPromoter::build_generation(
     const std::string& checkpoint_path, const AccessStats* stats,
     std::uint64_t id) const {
   auto gen = std::make_shared<ServingGeneration>();
   gen->id = id;
   gen->checkpoint_path = checkpoint_path;
-  gen->session = restore_session(checkpoint_path);
+  // One restore per generation: the fallback and every shard session serve
+  // from this one frozen model.
+  std::unique_ptr<DlrmModel> restored = make_model_();
+  ELREC_CHECK(restored != nullptr, "model factory returned null");
+  load_dlrm_model(*restored, checkpoint_path);
+  const std::shared_ptr<const DlrmModel> model = std::move(restored);
+  gen->session = std::make_unique<InferenceSession>(model, config_.session);
 
   // Warm sets come from the live traffic snapshot: the hot rows *right now*,
   // not the hot rows of the distribution the previous generation warmed on.
@@ -67,13 +65,14 @@ std::shared_ptr<ServingGeneration> ModelPromoter::build_generation(
     return gen;
   }
 
-  // Sharded tier: every shard restores the full model from the same
-  // checkpoint (bitwise-identical rows everywhere, warmth is the only
-  // difference), then warms its consistent-hash partition of the hot set.
+  // Sharded tier: every shard session serves the same full model
+  // (bitwise-identical rows everywhere, warmth is the only difference) and
+  // warms its consistent-hash partition of the hot set.
   gen->shard_sessions.reserve(static_cast<std::size_t>(config_.num_shards));
   gen->servers.reserve(static_cast<std::size_t>(config_.num_shards));
   for (int s = 0; s < config_.num_shards; ++s) {
-    gen->shard_sessions.push_back(restore_session(checkpoint_path));
+    gen->shard_sessions.push_back(
+        std::make_unique<InferenceSession>(model, config_.session));
   }
 
   const HashRing ring(config_.num_shards, config_.router.vnodes_per_shard,

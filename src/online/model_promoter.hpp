@@ -8,7 +8,7 @@
 // seam, drains the displaced generation by refcount, clears its stale
 // caches and destroys it. Both serving shapes promote identically: a local
 // InferenceSession, or a full sharded tier (per-shard sessions + servers +
-// failover router) built fresh per generation.
+// failover router) built fresh per generation on one restored model.
 //
 // Failure model: everything expensive happens *before* the swap, on the
 // promoter's thread, against generation-private state. The fault site
@@ -92,14 +92,12 @@ class ModelPromoter {
   std::size_t retired_pending() const;
 
  private:
-  /// Restores `checkpoint_path` into a complete, warmed generation that has
-  /// never served a request. Pure build: no serving state is touched.
+  /// Restores `checkpoint_path` once into a complete, warmed generation
+  /// that has never served a request; every session of the generation
+  /// shares the restored model. Pure build: no serving state is touched.
   std::shared_ptr<ServingGeneration> build_generation(
       const std::string& checkpoint_path, const AccessStats* stats,
       std::uint64_t id) const;
-
-  std::unique_ptr<InferenceSession> restore_session(
-      const std::string& checkpoint_path) const;
 
   /// Blocks until `gen` is uniquely owned (all in-flight predicts done) or
   /// drain_timeout passes; returns true when drained.

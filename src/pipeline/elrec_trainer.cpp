@@ -44,15 +44,7 @@ void HostTableClient::forward(const IndexBatch& batch, Matrix& out) {
                 "batch index missing from installed prefetch rows");
     occurrence_[i] = static_cast<index_t>(it - unique.begin());
   }
-  const index_t b = batch.batch_size();
-  out.resize(b, dim_);
-  for (index_t s = 0; s < b; ++s) {
-    float* dst = out.row(s);
-    for (index_t p = batch.bag_begin(s); p < batch.bag_end(s); ++p) {
-      const float* src = rows_->row(occurrence_[static_cast<std::size_t>(p)]);
-      for (index_t j = 0; j < dim_; ++j) dst[j] += src[j];
-    }
-  }
+  pool_unique_rows(batch, occurrence_, *rows_, out);
 }
 
 void HostTableClient::backward_and_update(const IndexBatch& batch,

@@ -1,13 +1,12 @@
 #include "serve/inference_session.hpp"
 
 #include <cstring>
-#include <string>
 
 #include "common/error.hpp"
 
 namespace elrec {
 
-InferenceSession::InferenceSession(std::unique_ptr<DlrmModel> model,
+InferenceSession::InferenceSession(std::shared_ptr<const DlrmModel> model,
                                    InferenceSessionConfig config)
     : model_(std::move(model)), config_(config) {
   ELREC_CHECK(model_ != nullptr, "InferenceSession needs a model");
@@ -33,9 +32,9 @@ void InferenceSession::predict(const MiniBatch& batch,
                                WorkerState& state) const {
   model_->predict_frozen(
       batch, probs, state.ws,
-      [this, &state](index_t t, const IndexBatch& b, Matrix& out,
-                     ILookupContext* ctx) {
-        cached_table_lookup(t, b, out, ctx, state);
+      [this, &state](index_t t, const std::vector<index_t>& rows,
+                     Matrix& values, ILookupContext* ctx) {
+        resolve_rows(t, rows, values, ctx, state);
       });
 }
 
@@ -43,23 +42,13 @@ void InferenceSession::resolve_rows(index_t t, const std::vector<index_t>& rows,
                                     Matrix& values, ILookupContext* ctx,
                                     WorkerState& state) const {
   const IEmbeddingTable& table = model_->table(t);
-  // Always on: the cache probe indexes its per-row state by these rows
-  // before the table's own lookup() would validate them.
-  const index_t num_rows = table.num_rows();
-  for (const index_t r : rows) {
-    ELREC_CHECK(r >= 0 && r < num_rows,
-                "row " + std::to_string(r) + " out of range for table " +
-                    std::to_string(t));
-  }
   ServingCache* cache = caches_[static_cast<std::size_t>(t)].get();
-  const index_t d = table.dim();
-  values.resize(static_cast<index_t>(rows.size()), d);
   if (cache == nullptr) {
-    // Bag-of-one batches make lookup() return each row verbatim (sum
-    // pooling over a single index is the identity).
-    table.lookup(IndexBatch::one_per_sample(rows), values, ctx);
+    table.materialize_rows(rows, values, ctx);
     return;
   }
+  const index_t d = table.dim();
+  values.resize(static_cast<index_t>(rows.size()), d);
   cache->probe(rows, values, state.hit);
 
   state.miss_rows.clear();
@@ -72,9 +61,8 @@ void InferenceSession::resolve_rows(index_t t, const std::vector<index_t>& rows,
   }
   if (!state.miss_rows.empty()) {
     // Cached copies stay bitwise equal to freshly computed rows: both come
-    // out of the same frozen lookup() path.
-    table.lookup(IndexBatch::one_per_sample(state.miss_rows), state.miss_vals,
-                 ctx);
+    // out of the table's materialize_rows().
+    table.materialize_rows(state.miss_rows, state.miss_vals, ctx);
     for (std::size_t i = 0; i < state.miss_rows.size(); ++i) {
       std::memcpy(values.row(state.miss_pos[i]),
                   state.miss_vals.row(static_cast<index_t>(i)),
@@ -90,38 +78,11 @@ void InferenceSession::materialize_rows(index_t t,
                                         WorkerState& state) const {
   ELREC_CHECK(t >= 0 && t < model_->num_tables(),
               "materialize_rows: table out of range");
+  // The cache probe indexes its per-row state by these rows before the
+  // table's own materialize_rows() would check them.
+  check_rows_in_range(rows, model_->table(t).num_rows());
   resolve_rows(t, rows, values,
                state.ws.table_ctx[static_cast<std::size_t>(t)].get(), state);
-}
-
-void InferenceSession::cached_table_lookup(index_t t, const IndexBatch& batch,
-                                           Matrix& out, ILookupContext* ctx,
-                                           WorkerState& state) const {
-  const IEmbeddingTable& table = model_->table(t);
-  ServingCache* cache = caches_[static_cast<std::size_t>(t)].get();
-  if (cache == nullptr) {
-    table.lookup(batch, out, ctx);
-    return;
-  }
-  const index_t d = table.dim();
-
-  // Resolve each unique row once: probe the cache, compute only the misses
-  // through the table's frozen path.
-  state.unique = build_unique_index_map(batch.indices);
-  resolve_rows(t, state.unique.unique, state.unique_vals, ctx, state);
-
-  // Sum-pool the resolved unique rows back into per-bag embeddings, in bag
-  // position order — the same order forward()/lookup() pool in, so the
-  // float accumulation sequence (and thus the result bits) match.
-  out.resize(batch.batch_size(), d);
-  for (index_t b = 0; b < batch.batch_size(); ++b) {
-    float* dst = out.row(b);
-    for (index_t p = batch.bag_begin(b); p < batch.bag_end(b); ++p) {
-      const float* src = state.unique_vals.row(
-          state.unique.occurrence[static_cast<std::size_t>(p)]);
-      for (index_t j = 0; j < d; ++j) dst[j] += src[j];
-    }
-  }
 }
 
 void InferenceSession::warm_cache(index_t t, const std::vector<index_t>& rows) {
@@ -130,7 +91,7 @@ void InferenceSession::warm_cache(index_t t, const std::vector<index_t>& rows) {
   const IEmbeddingTable& table = model_->table(t);
   auto ctx = table.make_lookup_context();
   Matrix values;
-  table.lookup(IndexBatch::one_per_sample(rows), values, ctx.get());
+  table.materialize_rows(rows, values, ctx.get());
   cache->warm(rows, values);
 }
 

@@ -1,17 +1,19 @@
 // Frozen-model inference session.
 //
-// Owns a trained DlrmModel (typically restored via load_dlrm_model +
+// Shares a trained DlrmModel (typically restored via load_dlrm_model +
 // load_tt_cores) and exposes only its const serving path: predict() runs
 // DlrmModel::predict_frozen() with every piece of mutable state confined to
 // the caller's WorkerState, so N threads serve concurrently from one model
-// with zero synchronization on the parameters.
+// with zero synchronization on the parameters. Sessions of one serving
+// generation (a fallback plus one per shard) share a single model.
 //
 // Each embedding table optionally gets a ServingCache of fully materialized
-// rows. The cache hooks into the lookup through predict_frozen()'s
-// TableLookupFn: unique rows are probed first, misses are materialized by
-// the table's frozen lookup() and offered for admission, then pooling runs
-// over the merged rows. Cached values are verbatim copies of what lookup()
-// produced, so cached and uncached requests are bitwise identical.
+// rows. The cache is this session's row resolver for predict_frozen(): the
+// deduplicated rows are probed first, misses are materialized by the
+// table's frozen materialize_rows() and offered for admission, and
+// predict_frozen() pools the merged rows. Cached values are verbatim copies
+// of what materialize_rows() produced, so cached and uncached requests are
+// bitwise identical.
 #pragma once
 
 #include <memory>
@@ -36,15 +38,15 @@ class InferenceSession : public IRankingBackend {
   struct WorkerState : IRankingBackend::State {
     DlrmInferenceWorkspace ws;
     // Cache-path scratch (per table call, reused across tables/requests).
-    UniqueIndexMap unique;
-    Matrix unique_vals;          // unique-rows embedding staging
-    std::vector<char> hit;       // probe hit mask over unique rows
+    std::vector<char> hit;           // probe hit mask over the rows
     std::vector<index_t> miss_rows;
-    std::vector<index_t> miss_pos;  // position of each miss in unique list
-    Matrix miss_vals;               // table-computed rows for the misses
+    std::vector<index_t> miss_pos;   // position of each miss in the rows
+    Matrix miss_vals;                // table-materialized rows for the misses
   };
 
-  explicit InferenceSession(std::unique_ptr<DlrmModel> model,
+  /// Takes a std::unique_ptr<DlrmModel> as well (it converts); sessions
+  /// built on one shared model serve identical bits.
+  explicit InferenceSession(std::shared_ptr<const DlrmModel> model,
                             InferenceSessionConfig config = {});
 
   const DlrmModel& model() const { return *model_; }
@@ -72,17 +74,18 @@ class InferenceSession : public IRankingBackend {
   }
 
   /// Materializes individual rows of table `t` through the same cache-aware
-  /// frozen path predict() uses: cache probe first, misses computed by the
-  /// table's lookup() and offered for admission. values.row(i) receives
-  /// rows[i]; bitwise equal to an uncached lookup of the same rows. This is
-  /// the shard server's row-serving entry point.
+  /// row path predict() resolves with: cache probe first, misses computed
+  /// by the table's materialize_rows() and offered for admission.
+  /// values.row(i) receives rows[i]; bitwise equal to an uncached
+  /// materialization of the same rows. This is the shard server's
+  /// row-serving entry point.
   void materialize_rows(index_t t, const std::vector<index_t>& rows,
                         Matrix& values, WorkerState& state) const;
 
   /// Seeds table `t`'s cache with the given hot rows (e.g. from
   /// data/stats top_accessed_indices), materializing them through the
-  /// table's frozen lookup. Call before serving starts; not concurrent
-  /// with predict().
+  /// table's frozen materialize_rows(). Call before serving starts; not
+  /// concurrent with predict().
   void warm_cache(index_t t, const std::vector<index_t>& rows);
 
   /// Invalidates every table's cache (stale-generation path after swapping
@@ -98,17 +101,13 @@ class InferenceSession : public IRankingBackend {
   double cache_hit_rate() const;
 
  private:
-  void cached_table_lookup(index_t t, const IndexBatch& batch, Matrix& out,
-                           ILookupContext* ctx, WorkerState& state) const;
+  // Fills values.row(i) with rows[i] (already range-checked) via cache
+  // probe + materialize_rows of the misses (+ admission). predict()'s row
+  // resolver and materialize_rows' body.
+  void resolve_rows(index_t t, const std::vector<index_t>& rows, Matrix& values,
+                    ILookupContext* ctx, WorkerState& state) const;
 
-  // Fills values.row(i) with rows[i] via cache probe + frozen lookup of the
-  // misses (+ admission). Shared by cached_table_lookup (unique rows) and
-  // materialize_rows.
-  void resolve_rows(index_t t, const std::vector<index_t>& rows,
-                    Matrix& values, ILookupContext* ctx,
-                    WorkerState& state) const;
-
-  std::unique_ptr<DlrmModel> model_;
+  std::shared_ptr<const DlrmModel> model_;
   InferenceSessionConfig config_;
   // ServingCache is internally synchronized, so admission from const
   // predict() is safe; the unique_ptr array itself is never mutated after

@@ -4,11 +4,9 @@
 // and compute time (its micro-batch's forward pass) separately, so tail
 // latency can be attributed to scheduling vs. model cost.
 //
-// The sort-all-samples percentile machinery that used to live here moved to
-// obs::Histogram (log-bucketed, lock-free); this header keeps a thin alias
-// so serving call sites stay stable. Percentiles are now bucket estimates
-// (≲ ~6% relative error) instead of exact nearest-rank — well within what
-// latency attribution needs. count/mean/max remain exact.
+// Percentiles come from obs::Histogram (log-bucketed, lock-free): bucket
+// estimates within ~6% relative error, well within what latency attribution
+// needs. count/mean/max are exact.
 //
 // The recorder owns standalone histograms rather than registry entries so
 // each RequestScheduler instance keeps its own counts; the scheduler mirrors

@@ -22,10 +22,24 @@ RequestScheduler::RequestScheduler(const IRankingBackend& backend,
   ELREC_CHECK(config_.num_workers > 0, "need at least one worker");
   ELREC_CHECK(config_.max_batch > 0, "micro-batch cap must be positive");
   ELREC_CHECK(config_.max_wait_us >= 0, "coalescing window must be >= 0");
-  pool_ = std::make_unique<ThreadPool>(config_.num_workers);
+  worker_errors_.resize(config_.num_workers);
   workers_.reserve(config_.num_workers);
-  for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    workers_.push_back(pool_->submit([this] { worker_loop(); }));
+  try {
+    for (std::size_t w = 0; w < config_.num_workers; ++w) {
+      workers_.emplace_back([this, w] {
+        try {
+          worker_loop();
+        } catch (...) {
+          worker_errors_[w] = std::current_exception();
+        }
+      });
+    }
+  } catch (...) {
+    // A thread failed to start: the destructor will not run, so stop and
+    // join the ones already serving before the members they use die.
+    queue_.close();
+    for (std::thread& w : workers_) w.join();
+    throw;
   }
 }
 
@@ -33,8 +47,9 @@ RequestScheduler::~RequestScheduler() {
   try {
     shutdown();
   } catch (...) {
-    // Destructor must not throw; worker failures were already delivered to
-    // the affected requests as promise exceptions.
+    // Destructor must not throw. A failed forward already reached its
+    // requests as promise exceptions; a worker that died outside a forward
+    // (say, in make_state()) is reported only by an explicit shutdown().
   }
 }
 
@@ -188,14 +203,14 @@ void RequestScheduler::serve_batch(std::vector<Pending>& batch,
 }
 
 void RequestScheduler::shutdown() {
-  if (shut_down_.exchange(true, std::memory_order_acq_rel)) {
-    // Second caller still waits for the workers to finish draining.
-  }
+  shut_down_.store(true, std::memory_order_release);
   queue_.close();
-  for (auto& f : workers_) {
-    if (f.valid()) f.get();
+  for (std::thread& w : workers_) {
+    if (w.joinable()) w.join();
   }
-  workers_.clear();
+  for (std::exception_ptr& error : worker_errors_) {
+    if (error) std::rethrow_exception(std::exchange(error, nullptr));
+  }
 }
 
 RequestScheduler::Stats RequestScheduler::stats() const {

@@ -17,12 +17,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <exception>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/blocking_queue.hpp"
-#include "common/thread_pool.hpp"
 #include "serve/latency.hpp"
 #include "serve/ranking_backend.hpp"
 
@@ -82,8 +83,10 @@ class RequestScheduler {
   /// submit() + wait. Throws OverloadedError when shed, Error when closed.
   RankingResponse submit_blocking(RankingRequest req);
 
-  /// Stops admission, serves every queued request, joins the workers.
-  /// Idempotent; also run by the destructor.
+  /// Stops admission, serves every queued request, joins the workers, then
+  /// rethrows the first worker failure (e.g. a throwing make_state()) not
+  /// yet reported. Idempotent; also run by the destructor, which swallows
+  /// it.
   void shutdown();
 
   struct Stats {
@@ -120,9 +123,11 @@ class RequestScheduler {
   std::atomic<index_t> largest_batch_{0};
   std::atomic<bool> shut_down_{false};
 
-  // Declared last so worker futures resolve before members above die.
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::future<void>> workers_;
+  // worker_errors_[w] is written only by worker w before it exits and read
+  // only after it is joined. Declared last so the workers are joined before
+  // the members above die.
+  std::vector<std::exception_ptr> worker_errors_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace elrec

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "embed/index_batch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -60,34 +59,15 @@ void ShardRouter::predict(const MiniBatch& batch, std::vector<float>& probs,
   auto& rs = static_cast<RouterState&>(state);
   fallback_.model().predict_frozen(
       batch, probs, rs.local->ws,
-      [this, &rs](index_t t, const IndexBatch& b, Matrix& out,
-                  ILookupContext* /*ctx*/) { sharded_lookup(t, b, out, rs); });
-}
-
-void ShardRouter::sharded_lookup(index_t t, const IndexBatch& batch,
-                                 Matrix& out, RouterState& state) const {
-  TRACE_SPAN("shard.route");
-  const index_t d = fallback_.model().table(t).dim();
-
-  // Resolve each unique row once across the shard tier.
-  state.unique = build_unique_index_map(batch.indices);
-  resolve_rows(t, state.unique.unique, state.unique_vals, state);
-
-  // Pool in bag-position order — the exact loop InferenceSession uses — so
-  // a routed prediction is bitwise equal to a single-process one.
-  out.resize(batch.batch_size(), d);
-  for (index_t b = 0; b < batch.batch_size(); ++b) {
-    float* dst = out.row(b);
-    for (index_t p = batch.bag_begin(b); p < batch.bag_end(b); ++p) {
-      const float* src = state.unique_vals.row(
-          state.unique.occurrence[static_cast<std::size_t>(p)]);
-      for (index_t j = 0; j < d; ++j) dst[j] += src[j];
-    }
-  }
+      [this, &rs](index_t t, const std::vector<index_t>& rows, Matrix& values,
+                  ILookupContext* /*ctx*/) {
+        resolve_rows(t, rows, values, rs);
+      });
 }
 
 void ShardRouter::resolve_rows(index_t t, const std::vector<index_t>& rows,
                                Matrix& values, RouterState& state) const {
+  TRACE_SPAN("shard.route");
   values.resize(static_cast<index_t>(rows.size()),
                 fallback_.model().table(t).dim());
   if (rows.empty()) return;

@@ -1,11 +1,12 @@
 // Failover router for the sharded serving tier.
 //
 // The router is an IRankingBackend: a RequestScheduler drives it exactly
-// like a plain InferenceSession, but every embedding lookup inside the
-// frozen forward is resolved by the shard servers that own the rows
-// (consistent-hash ring). Each shard call is a plain function call on the
-// request worker's thread, with that worker's per-shard WorkerState; the
-// tier starts no thread of its own.
+// like a plain InferenceSession, but it is predict_frozen()'s row resolver:
+// the deduplicated rows of every table are materialized by the shard
+// servers that own them (consistent-hash ring), and predict_frozen() pools
+// them as it does for a local session. Each shard call is a plain function
+// call on the request worker's thread, with that worker's per-shard
+// WorkerState; the tier starts no thread of its own.
 //
 // Failover ladder, per unique row:
 //   1. primary owner        — round 0
@@ -57,13 +58,11 @@ class ShardRouter : public IRankingBackend {
   struct RouterState : IRankingBackend::State {
     std::unique_ptr<InferenceSession::WorkerState> local;
     std::vector<std::unique_ptr<InferenceSession::WorkerState>> shard;
-    UniqueIndexMap unique;
-    Matrix unique_vals;
     std::vector<char> resolved;
     std::vector<int> owners;   // one row's ladder
     std::vector<int> ladders;  // rows x ladder depth, row-major
     std::vector<index_t> call_rows;  // one call's rows ...
-    std::vector<std::size_t> call_pos;  // ... their positions in `unique`
+    std::vector<std::size_t> call_pos;  // ... their positions in the rows
     Matrix call_vals;                   // ... and the call's answer
   };
 
@@ -100,11 +99,10 @@ class ShardRouter : public IRankingBackend {
   RouterStats stats() const;
 
  private:
-  void sharded_lookup(index_t t, const IndexBatch& batch, Matrix& out,
-                      RouterState& state) const;
-  /// Fills values.row(i) with rows[i], walking the ladder.
-  void resolve_rows(index_t t, const std::vector<index_t>& rows,
-                    Matrix& values, RouterState& state) const;
+  /// predict_frozen()'s row resolver: fills values.row(i) with rows[i],
+  /// walking the ladder.
+  void resolve_rows(index_t t, const std::vector<index_t>& rows, Matrix& values,
+                    RouterState& state) const;
   /// Serves state.call_rows on shard `s` into state.call_vals, retrying
   /// transient faults. False when the call was shed or failed.
   bool call_shard(int s, index_t t, RouterState& state) const;

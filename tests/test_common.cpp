@@ -1,4 +1,4 @@
-// Unit tests for src/common: PRNG, aligned buffers, blocking queue, pool.
+// Unit tests for src/common: PRNG, aligned buffers, blocking queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include "common/blocking_queue.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace elrec {
 namespace {
@@ -378,37 +377,6 @@ TEST(BlockingQueue, DeadlineOpsUnderConcurrentProducersConsumers) {
   const long expected =
       static_cast<long>(kProducers) * kPerProducer * (kPerProducer + 1) / 2;
   EXPECT_EQ(total.load(), expected);
-}
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 20; ++i) {
-    futs.push_back(pool.submit([&] { ++counter; }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(0, 100, [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 }  // namespace

@@ -210,6 +210,44 @@ TEST(EffTTTable, BijectionRemapsLookups) {
   }
 }
 
+TEST(EffTTTable, MaterializeRowsMatchesOneAtATimeAndForward) {
+  // Unsorted rows with repeats, through a bijection: every materialized row
+  // is bitwise the row materialized alone and the row forward() pools.
+  EffTTTable table(55, random_cores(43));
+  std::vector<index_t> mapping(55);
+  for (index_t i = 0; i < 55; ++i) {
+    mapping[static_cast<std::size_t>(i)] = (i * 7 + 3) % 55;
+  }
+  table.set_index_bijection(mapping);
+  const std::vector<index_t> rows{41, 3, 17, 3, 54, 0, 41, 41};
+  auto ctx = table.make_lookup_context();
+  Matrix values;
+  table.materialize_rows(rows, values, ctx.get());
+  ASSERT_EQ(values.rows(), static_cast<index_t>(rows.size()));
+  ASSERT_EQ(values.cols(), 12);
+
+  Matrix pooled;
+  table.forward(IndexBatch::one_per_sample(rows), pooled);
+  Matrix one;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    table.materialize_rows({rows[i]}, one, ctx.get());
+    for (index_t j = 0; j < 12; ++j) {
+      const auto r = static_cast<index_t>(i);
+      EXPECT_EQ(values.at(r, j), one.at(0, j)) << "row " << i;
+      EXPECT_EQ(values.at(r, j), pooled.at(r, j)) << "row " << i;
+    }
+  }
+}
+
+TEST(EffTTTable, MaterializeRowsRejectsOutOfRangeRows) {
+  const EffTTTable table(55, random_cores(47));
+  auto ctx = table.make_lookup_context();
+  Matrix values;
+  EXPECT_THROW(table.materialize_rows({3, 55}, values, ctx.get()), Error);
+  EXPECT_THROW(table.materialize_rows({-1}, values, ctx.get()), Error);
+  EXPECT_THROW(table.materialize_rows({3}, values, nullptr), Error);
+}
+
 TEST(EffTTTable, BijectionPreservesTrainingSemantics) {
   // Training with a bijection must behave like training the baseline on the
   // remapped index stream.

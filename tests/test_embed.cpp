@@ -139,6 +139,47 @@ TEST(EmbeddingBag, EmptyBagYieldsZeroRow) {
   for (index_t j = 0; j < 4; ++j) EXPECT_EQ(out.at(0, j), 0.0f);
 }
 
+TEST(EmbeddingBag, MaterializeRowsMatchesOneAtATime) {
+  Prng rng(8);
+  const EmbeddingBag bag(10, 4, rng);
+  const std::vector<index_t> rows{7, 2, 7, 9, 0, 2};
+  Matrix values;
+  bag.materialize_rows(rows, values, nullptr);
+  ASSERT_EQ(values.rows(), static_cast<index_t>(rows.size()));
+  ASSERT_EQ(values.cols(), 4);
+  Matrix one;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    bag.materialize_rows({rows[i]}, one, nullptr);
+    for (index_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(values.at(static_cast<index_t>(i), j), one.at(0, j));
+      EXPECT_EQ(one.at(0, j), bag.weights().at(rows[i], j));
+    }
+  }
+}
+
+TEST(EmbeddingBag, MaterializeRowsRejectsOutOfRangeRows) {
+  Prng rng(9);
+  const EmbeddingBag bag(10, 4, rng);
+  Matrix values;
+  EXPECT_THROW(bag.materialize_rows({2, 10}, values, nullptr), Error);
+  EXPECT_THROW(bag.materialize_rows({-1}, values, nullptr), Error);
+}
+
+TEST(IndexBatch, PoolUniqueRowsSumsBagsInPositionOrder) {
+  // Bags over deduplicated rows, an empty bag included.
+  const IndexBatch batch = IndexBatch::from_bags({{4, 1, 4}, {}, {1}});
+  const UniqueIndexMap unique = build_unique_index_map(batch.indices);
+  Matrix rows{{1.0f, 2.0f}, {10.0f, 20.0f}};  // rows 1 and 4
+  Matrix out{{7.0f, 7.0f}};                   // stale contents are dropped
+  pool_unique_rows(batch, unique.occurrence, rows, out);
+  ASSERT_EQ(out.rows(), 3);
+  ASSERT_EQ(out.cols(), 2);
+  EXPECT_EQ(out.at(0, 0), 21.0f);
+  EXPECT_EQ(out.at(0, 1), 42.0f);
+  EXPECT_EQ(out.at(1, 0), 0.0f);
+  EXPECT_EQ(out.at(2, 1), 2.0f);
+}
+
 TEST(EmbeddingBag, BackwardAppliesSgd) {
   Prng rng(4);
   EmbeddingBag bag(10, 2, rng);

@@ -293,6 +293,52 @@ TEST(ModelPromoter, CommitFaultLeavesOldGenerationServingAndRecovers) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ModelPromoter, ShardedGenerationSharesOneModelAndRoutesBitwise) {
+  const std::string dir = fresh_checkpoint_dir("sharded_promote");
+  const std::string ckpt_a = seed_checkpoint(dir, "gen_a.ckpt", 600, 5);
+  const std::string ckpt_b = seed_checkpoint(dir, "gen_b.ckpt", 700, 25);
+
+  ModelPromoterConfig pcfg;
+  pcfg.session.cache.capacity = 64;
+  pcfg.session.cache.admit_min_freq = 1;
+  pcfg.warm_top_k = 16;
+  pcfg.num_shards = 2;
+  HotSwapBackend backend(make_local_generation(0, ckpt_a, pcfg.session));
+  ModelPromoter promoter(backend, model_factory(), pcfg);
+
+  AccessStats stats(tiny_spec().table_rows);
+  SyntheticDataset data(tiny_spec(), 31);
+  for (int b = 0; b < 10; ++b) stats.observe(data.next_batch(64));
+  EXPECT_EQ(promoter.promote(ckpt_b, &stats), 1u);
+
+  {
+    // One restore per generation: the fallback and both shard sessions
+    // serve from the same model.
+    const auto gen = backend.current();
+    ASSERT_TRUE(gen->sharded());
+    ASSERT_EQ(gen->shard_sessions.size(), 2u);
+    for (const auto& shard : gen->shard_sessions) {
+      EXPECT_EQ(&shard->model(), &gen->session->model());
+    }
+  }
+
+  auto ref = reference_session(ckpt_b);
+  auto ref_state = ref->make_worker_state();
+  auto state = backend.make_state();
+  std::vector<float> got, want;
+  for (std::uint64_t b = 0; b < 3; ++b) {  // caches warm up across passes
+    const MiniBatch eval = data.eval_batch(32, b);
+    backend.predict(eval, got, *state);
+    ref->predict(eval, want, *ref_state);
+    EXPECT_EQ(got, want) << "eval batch " << b;
+  }
+  const auto gen = backend.current();
+  EXPECT_GT(gen->servers[0]->rows_served() + gen->servers[1]->rows_served(),
+            0u);
+  EXPECT_EQ(gen->router->stats().fallback_rows, 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(OnlineTrainer, EmitsLoadableCheckpointsAndFeedsStats) {
   const std::string dir = fresh_checkpoint_dir("trainer");
   DriftScheduleConfig drift;

@@ -115,6 +115,44 @@ TEST(InferenceSession, FrozenPredictMatchesTrainingPredict) {
   }
 }
 
+TEST(InferenceSession, BijectionTableServesTrainingPredictBits) {
+  // The Eff-TT table remaps rows inside materialize_rows(): served through
+  // one shared model with the cache off, cold and warmed, the bits must
+  // still equal training predict().
+  auto model = make_model(19);
+  std::vector<index_t> mapping(static_cast<std::size_t>(kRowsTT));
+  for (index_t i = 0; i < kRowsTT; ++i) {
+    mapping[static_cast<std::size_t>(i)] = (i * 7 + 3) % kRowsTT;
+  }
+  dynamic_cast<EffTTTable&>(model->table(0)).set_index_bijection(mapping);
+  SyntheticDataset data(tiny_spec(), 20);
+  for (int b = 0; b < 10; ++b) model->train_step(data.next_batch(64), 0.05f);
+  const MiniBatch eval = data.eval_batch(64, 3);
+  std::vector<float> want;
+  model->predict(eval, want);
+
+  const std::shared_ptr<const DlrmModel> shared = std::move(model);
+  InferenceSessionConfig cfg;
+  cfg.cache.capacity = 64;
+  cfg.cache.admit_min_freq = 100000;  // only warm_cache fills the cache
+  InferenceSession uncached(shared);
+  InferenceSession cached(shared, cfg);
+  auto uncached_state = uncached.make_worker_state();
+  auto cached_state = cached.make_worker_state();
+
+  std::vector<float> got;
+  uncached.predict(eval, got, *uncached_state);
+  EXPECT_EQ(got, want) << "cache off";
+  cached.predict(eval, got, *cached_state);
+  EXPECT_EQ(got, want) << "cache cold";
+  EXPECT_EQ(cached.cache_hit_rate(), 0.0);
+  const auto& idx = eval.sparse[0].indices;
+  cached.warm_cache(0, std::vector<index_t>(idx.begin(), idx.begin() + 32));
+  cached.predict(eval, got, *cached_state);
+  EXPECT_EQ(got, want) << "cache warmed";
+  EXPECT_GT(cached.cache_hit_rate(), 0.0);
+}
+
 TEST(InferenceSession, BatchOneMatchesCoalescedBatchBitwise) {
   InferenceSessionConfig cfg;
   cfg.cache.capacity = 64;
@@ -376,6 +414,32 @@ TEST(RequestScheduler, ShutdownDrainsQueueAndRejectsNewWork) {
   std::future<RankingResponse> fut;
   EXPECT_EQ(sched.submit(make_request(rng), fut), SubmitStatus::kClosed);
   EXPECT_THROW((void)sched.submit_blocking(make_request(rng)), Error);
+}
+
+// A backend whose workers cannot build their state.
+class NoStateBackend : public IRankingBackend {
+ public:
+  index_t num_tables() const override { return 2; }
+  index_t num_dense() const override { return kDense; }
+  std::unique_ptr<State> make_state() const override {
+    throw Error("worker state unavailable");
+  }
+  void predict(const MiniBatch&, std::vector<float>&, State&) const override {}
+};
+
+TEST(RequestScheduler, WorkerFailureSurfacesOnceFromShutdown) {
+  NoStateBackend backend;
+  RequestSchedulerConfig cfg;
+  cfg.num_workers = 1;
+  {
+    RequestScheduler sched(backend, cfg);
+    EXPECT_THROW(sched.shutdown(), Error);
+    EXPECT_NO_THROW(sched.shutdown());  // reported once
+  }
+  cfg.num_workers = 2;
+  // Never shut down explicitly: the destructor joins and swallows the
+  // failures instead of terminating.
+  RequestScheduler unattended(backend, cfg);
 }
 
 TEST(RequestScheduler, MalformedRequestsAreRejectedUpFront) {
