@@ -10,10 +10,11 @@
 //   EffTT_Reorder  — full + index reordering
 // Paper shape: full Eff-TT ~1.70x over TT-Rec (1.40x from aggregation,
 // 1.15x from the fused update, 1.06x from reordering).
-// `--quick` measures EffTT backward time per batch (median of 8 steps, with
-// its MAD) at 1 thread and at all cores, checks the updated cores are
-// bitwise identical across the two runs, and writes
-// BENCH_fig18_backward.json for the perf-regression harness.
+// `--quick` measures EffTT and TTRec backward time per batch (median of 8
+// steps, with its MAD) at 1 thread and at all cores, reports EffTT's speedup
+// over TTRec at each thread count, checks the EffTT cores are bitwise
+// identical across the two runs, and writes BENCH_fig18_backward.json for
+// the perf-regression harness.
 #include <benchmark/benchmark.h>
 
 #ifdef _OPENMP
@@ -137,7 +138,8 @@ BENCHMARK(BM_Backward_EffTT_Reorder) BACKWARD_ARGS;
 // the backward-only seconds per step (median, with its MAD): the forward
 // runs untimed before each step because backward_and_update consumes its
 // cache.
-benchutil::MedianMad backward_seconds(EffTTTable& table,
+template <typename Table>
+benchutil::MedianMad backward_seconds(Table& table,
                                       const std::vector<IndexBatch>& batches,
                                       const Matrix& grad, int iters) {
   Matrix out;
@@ -154,7 +156,7 @@ benchutil::MedianMad backward_seconds(EffTTTable& table,
 }  // namespace
 
 int run_quick() {
-  benchutil::header("Fig. 18 backward (--quick, batch 2048, EffTT)");
+  benchutil::header("Fig. 18 backward (--quick, batch 2048, EffTT vs TTRec)");
   constexpr index_t kBatch = 2048;
   constexpr int kIters = 8;
   const auto batches = make_batches(kBatch, 4);
@@ -167,20 +169,29 @@ int run_quick() {
   // OpenMP thread count differs: 1, and every core (more threads than cores
   // would only time-slice). On a single-core host both runs use one thread,
   // so speedup ~1x there is expected — the honest number is still emitted,
-  // and the bitwise check is the part that must always hold.
+  // and the bitwise check is the part that must always hold. The TT-Rec
+  // baseline trains on the same stream at the same two thread counts.
   const int all = benchutil::compute_threads();
-  Prng rng1(1), rng_all(1);
+  Prng rng1(1), rng_all(1), rng_tt1(1), rng_tt_all(1);
   EffTTTable t1(kRows, shape, rng1);
   EffTTTable t_all(kRows, shape, rng_all);
+  TTTable ttrec1(kRows, shape, rng_tt1);
+  TTTable ttrec_all(kRows, shape, rng_tt_all);
 
   benchutil::set_threads(1);
   const benchutil::MedianMad secs1 =
       backward_seconds(t1, batches, grad, kIters);
+  const benchutil::MedianMad tt_secs1 =
+      backward_seconds(ttrec1, batches, grad, kIters);
   benchutil::set_threads(all);
   const benchutil::MedianMad secs_all =
       backward_seconds(t_all, batches, grad, kIters);
+  const benchutil::MedianMad tt_secs_all =
+      backward_seconds(ttrec_all, batches, grad, kIters);
   const double rate1 = 1.0 / secs1.median;
   const double rate_all = 1.0 / secs_all.median;
+  const double over_ttrec1 = tt_secs1.median / secs1.median;
+  const double over_ttrec_all = tt_secs_all.median / secs_all.median;
 
   float max_diff = 0.0f;
   for (int k = 0; k < t1.cores().shape().num_cores(); ++k) {
@@ -198,6 +209,16 @@ int run_quick() {
                                      {"ms/batch", secs_all.median * 1e3},
                                      {"mad_ms", secs_all.mad * 1e3},
                                      {"threads", all}});
+  report.add("TTRec_backward_t1", {{"batches/s", 1.0 / tt_secs1.median},
+                                   {"ms/batch", tt_secs1.median * 1e3},
+                                   {"mad_ms", tt_secs1.mad * 1e3},
+                                   {"threads", 1}});
+  report.add("TTRec_backward_tall", {{"batches/s", 1.0 / tt_secs_all.median},
+                                     {"ms/batch", tt_secs_all.median * 1e3},
+                                     {"mad_ms", tt_secs_all.mad * 1e3},
+                                     {"threads", all}});
+  report.add("EffTT_over_TTRec_backward_t1", {{"speedup", over_ttrec1}});
+  report.add("EffTT_over_TTRec_backward_tall", {{"speedup", over_ttrec_all}});
   report.add("EffTT_backward_speedup_tall_over_t1",
              {{"speedup", rate_all / rate1}});
   report.add("EffTT_backward_bitwise_identical_across_threads",
@@ -209,7 +230,16 @@ int run_quick() {
         benchutil::fmt(secs1.median * 1e3), benchutil::fmt(secs1.mad * 1e3)},
        {"EffTT_backward_tall", benchutil::fmt(rate_all),
         benchutil::fmt(secs_all.median * 1e3),
-        benchutil::fmt(secs_all.mad * 1e3)}});
+        benchutil::fmt(secs_all.mad * 1e3)},
+       {"TTRec_backward_t1", benchutil::fmt(1.0 / tt_secs1.median),
+        benchutil::fmt(tt_secs1.median * 1e3),
+        benchutil::fmt(tt_secs1.mad * 1e3)},
+       {"TTRec_backward_tall", benchutil::fmt(1.0 / tt_secs_all.median),
+        benchutil::fmt(tt_secs_all.median * 1e3),
+        benchutil::fmt(tt_secs_all.mad * 1e3)}});
+  benchutil::note("EffTT over TTRec: " + benchutil::fmt(over_ttrec1) +
+                  "x at 1 thread, " + benchutil::fmt(over_ttrec_all) + "x at " +
+                  std::to_string(all) + " threads");
   benchutil::note("t" + std::to_string(all) + "/t1 speedup: " +
                   benchutil::fmt(rate_all / rate1) +
                   " (1.0x expected on a single-core host)");

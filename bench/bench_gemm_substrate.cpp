@@ -214,14 +214,17 @@ int run_quick() {
   {
     // The DLRM backward shapes at batch 4096, at 1 thread and at all cores:
     // the weight gradient dW = x^T * grad (TN, one 64-row block, so threads
-    // split k) and the input gradient dX = grad * W^T (NT with m = batch,
-    // the packed path).
+    // split k), the input gradient dX = grad * W^T (NT with m = batch, the
+    // packed path), and the top MLP's last-layer weight gradient, a column
+    // (TN 32 x 1, the n == 1 path).
     const index_t batch = 4096, fan_in = 64, fan_out = 32;
     Matrix x(batch, fan_in), g(batch, fan_out), w(fan_in, fan_out);
     Matrix dw(fan_in, fan_out), dx(batch, fan_in);
+    Matrix g_col(batch, 1), dw_col(fan_out, 1);
     x.fill_normal(rng);
     g.fill_normal(rng);
     w.fill_normal(rng);
+    g_col.fill_normal(rng);
     const double flops = 2.0 * batch * fan_in * fan_out;
     const int all = benchutil::compute_threads();
     for (const int threads : {1, all}) {
@@ -235,8 +238,14 @@ int run_quick() {
         gemm(Trans::kNo, Trans::kYes, batch, fan_in, fan_out, 1.0f, g.data(),
              fan_out, w.data(), fan_out, 0.0f, dx.data(), fan_in);
       });
+      // g (batch x 32) stands in for the last layer's input activations.
+      const Gflops gf_col = quick_gflops(2.0 * batch * fan_out, [&] {
+        gemm(Trans::kYes, Trans::kNo, fan_out, 1, batch, 1.0f, g.data(),
+             fan_out, g_col.data(), 1, 0.0f, dw_col.data(), 1);
+      });
       record("gemm_tn_dw_64x32_k4096" + suffix, gf_dw, threads);
       record("gemm_nt_dx_4096x64_k32" + suffix, gf_dx, threads);
+      record("gemm_tn_dw_32x1_k4096" + suffix, gf_col, threads);
     }
     benchutil::set_threads(all);
   }

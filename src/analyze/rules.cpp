@@ -5,9 +5,11 @@
 //                               flows through elrec::Prng with an explicit
 //                               seed; libc/time-seeded RNGs are banned.
 //   nondeterministic-reduction— float accumulation across OpenMP threads
-//                               must use the fixed-shard merge pattern
-//                               (eff_tt_table.cpp); `reduction(+:..)` and
-//                               `omp atomic` reorder FP adds run-to-run.
+//                               must keep one fixed order: one owning
+//                               thread per output (the slice-owned Eff-TT
+//                               backward) or fixed partials merged in
+//                               order (the k-split GEMM); `reduction(+:..)`
+//                               and `omp atomic` reorder FP adds run-to-run.
 //   omp-parallel-if           — an `if (...)` clause on `omp parallel`
 //                               still enters the OpenMP runtime (a team of
 //                               one) when false; guard with a plain branch
@@ -160,8 +162,9 @@ class NondeterministicReductionRule final : public Rule {
     return "nondeterministic-reduction";
   }
   std::string_view description() const override {
-    return "OpenMP float accumulation must use the fixed-shard merge "
-           "pattern; reduction(+|-|*) and omp atomic reorder FP adds";
+    return "OpenMP float accumulation must keep one fixed order (one owner "
+           "per output, or fixed partials merged in order); "
+           "reduction(+|-|*) and omp atomic reorder FP adds";
   }
   void check(const SourceFile& file, const LintContext&,
              std::vector<Finding>& out) const override {
@@ -176,7 +179,8 @@ class NondeterministicReductionRule final : public Rule {
         out.push_back(make_finding(
             file, name(), t.line, t.col,
             "'#pragma omp atomic' accumulation is order-nondeterministic "
-            "for floats; use per-shard scratch + ordered merge"));
+            "for floats; give each output one owning thread, or merge fixed "
+            "partials in order"));
         continue;
       }
       // `omp simd reduction` stays in one thread with a fixed lane order —
@@ -193,9 +197,10 @@ class NondeterministicReductionRule final : public Rule {
         out.push_back(make_finding(
             file, name(), t.line, t.col,
             "'reduction(" + std::string(1, d[op]) + ":...)' reorders "
-            "accumulation across threads — nondeterministic for floats. Use "
-            "the fixed-shard merge pattern, or NOLINT with a justification "
-            "that the accumulator is integral"));
+            "accumulation across threads — nondeterministic for floats. Give "
+            "each output one owning thread or merge fixed partials in order, "
+            "or NOLINT with a justification that the accumulator is "
+            "integral"));
       }
     }
   }

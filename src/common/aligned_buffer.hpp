@@ -43,23 +43,27 @@ class AlignedBuffer {
     release();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
     return *this;
   }
 
   ~AlignedBuffer() { release(); }
 
-  /// Reallocates to exactly n elements; contents are NOT preserved and are
-  /// zero-initialised.
+  /// Resizes to n elements, all zero: contents are NOT preserved. The
+  /// allocation only grows, like std::vector's: a resize to n <= capacity()
+  /// keeps data() and just zero-fills the n elements.
   void resize(std::size_t n) {
-    release();
-    if (n == 0) return;
-    const std::size_t bytes =
-        (n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
-        kCacheLineBytes;
-    data_ = static_cast<T*>(std::aligned_alloc(kCacheLineBytes, bytes));
-    if (data_ == nullptr) throw std::bad_alloc{};
+    if (n > capacity_) {
+      release();
+      const std::size_t bytes =
+          (n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
+          kCacheLineBytes;
+      data_ = static_cast<T*>(std::aligned_alloc(kCacheLineBytes, bytes));
+      if (data_ == nullptr) throw std::bad_alloc{};
+      capacity_ = n;
+    }
     size_ = n;
-    std::memset(data_, 0, bytes);
+    if (n > 0) std::memset(data_, 0, n * sizeof(T));
   }
 
   void fill(T value) {
@@ -69,6 +73,7 @@ class AlignedBuffer {
   T* data() { return data_; }
   const T* data() const { return data_; }
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
 
   T& operator[](std::size_t i) {
@@ -90,10 +95,12 @@ class AlignedBuffer {
     std::free(data_);
     data_ = nullptr;
     size_ = 0;
+    capacity_ = 0;
   }
 
   T* data_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 }  // namespace elrec

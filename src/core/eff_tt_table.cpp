@@ -25,6 +25,36 @@ index_t prefix_floats(const TTShape& shape) {
   return shape.col_factor(0) * shape.col_factor(1) * shape.rank(2);
 }
 
+// Below this many chain-rule items the backward stays on the calling thread.
+constexpr index_t kMinParallelItems = 64;
+
+constexpr std::size_t at(index_t i) { return static_cast<std::size_t>(i); }
+
+// Per-thread stacking buffer of the backward: grows to the largest group the
+// thread has stacked and is reused by every later group (of any table).
+float* group_scratch(index_t floats) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < at(floats)) buf.resize(at(floats));
+  return buf.data();
+}
+
+void add_into(const float* src, index_t n, float* dst) {
+#pragma omp simd
+  for (index_t t = 0; t < n; ++t) dst[t] += src[t];
+}
+
+// Runs body(slice, lo, cnt) once per group of `g` (a SliceGroups): the group
+// selecting `slice` covers g.members[lo, lo + cnt). Groups write disjoint
+// slices, so spreading them over a team changes no float order.
+template <typename Groups, typename Body>
+void for_each_group(const Groups& g, bool parallel, Body&& body) {
+  parallel_for(std::size_t{0}, g.touched.size(),
+               parallel && g.touched.size() > 1, [&](std::size_t t) {
+    const index_t lo = g.offsets[t];
+    body(g.touched[t], lo, g.offsets[t + 1] - lo);
+  });
+}
+
 // Reuse-buffer effectiveness across every EffTTTable in the process: a
 // "hit" is a row whose C1*C2 prefix product was already claimed by an
 // earlier row of the same launch, a "miss" is a slot actually computed.
@@ -123,11 +153,9 @@ void EffTTTable::compute_prefix_products(std::span<const index_t> rows) {
 }
 
 // Extends a row's prefix product (n1 n2 x R2) through cores 2..d-1 into the
-// final embedding row at `dst`. `chain` receives intermediate prefixes
-// A_2..A_{d-2} if non-null (needed by the generic backward); scratch vectors
-// are caller-provided to avoid per-row allocation.
+// final embedding row at `dst`; scratch vectors are caller-provided to avoid
+// per-row allocation.
 void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
-                              std::vector<std::vector<float>>* chain,
                               std::vector<float>& sa,
                               std::vector<float>& sb) const {
   const TTShape& shape = cores_.shape();
@@ -151,9 +179,6 @@ void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
       gemm(Trans::kNo, Trans::kNo, p, cols, rk, 1.0f, sa.data(), rk,
            cores_.slice(k, parts[static_cast<std::size_t>(k)]), cols, 0.0f,
            sb.data(), cols);
-      if (chain != nullptr) {
-        (*chain)[static_cast<std::size_t>(k)] = sb;
-      }
       sa.swap(sb);
     }
     p *= shape.col_factor(k);
@@ -197,7 +222,7 @@ std::size_t EffTTTable::expand_rows_from_prefixes(
   // Generic d: chain the remaining cores per row.
   for (std::size_t i = 0; i < rows.size(); ++i) {
     chain_suffix(rows[i], reuse.slot_data(prep.slot_of[i]),
-                 dst.row(static_cast<index_t>(i)), nullptr, sa, sb);
+                 dst.row(static_cast<index_t>(i)), sa, sb);
   }
   return rows.size() * static_cast<std::size_t>(d - 2);
 }
@@ -289,8 +314,8 @@ void EffTTTable::forward_no_reuse(const IndexBatch& batch,
     gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
          cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2), n2r2,
          0.0f, p12.data(), n2r2);
-    chain_suffix(row, p12.data(), occ_rows.row(static_cast<index_t>(i)),
-                 nullptr, sa, sb);
+    chain_suffix(row, p12.data(), occ_rows.row(static_cast<index_t>(i)), sa,
+                 sb);
     stats_.forward_gemms +=
         static_cast<std::size_t>(shape.num_cores() - 1);
   }
@@ -308,88 +333,223 @@ void EffTTTable::forward_no_reuse(const IndexBatch& batch,
   }
 }
 
-void EffTTTable::init_grad_accum(GradAccum& acc) const {
-  const TTShape& shape = cores_.shape();
-  const int d = shape.num_cores();
-  acc.core_grads.resize(static_cast<std::size_t>(d));
-  acc.stamp.resize(static_cast<std::size_t>(d));
-  acc.touched.resize(static_cast<std::size_t>(d));
-  for (int k = 0; k < d; ++k) {
-    acc.core_grads[static_cast<std::size_t>(k)].resize(cores_.core(k).rows(),
-                                                       cores_.core(k).cols());
-    acc.stamp[static_cast<std::size_t>(k)].assign(
-        static_cast<std::size_t>(shape.row_factor(k)), 0);
+void EffTTTable::group_by_slice(std::span<const index_t> keys, index_t slices,
+                                SliceGroups& g) {
+  g.cursor.assign(at(slices), 0);
+  for (index_t key : keys) ++g.cursor[at(key)];
+  g.touched.clear();
+  g.offsets.assign(1, 0);
+  for (index_t s = 0; s < slices; ++s) {
+    index_t& c = g.cursor[at(s)];
+    if (c == 0) continue;
+    const index_t lo = g.offsets.back();
+    g.touched.push_back(s);
+    g.offsets.push_back(lo + c);
+    c = lo;  // from here on: slice s's next free member index
+  }
+  g.members.resize(keys.size());
+  g.pos.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const index_t p = g.cursor[at(keys[i])]++;
+    g.members[at(p)] = static_cast<index_t>(i);
+    g.pos[i] = p;
   }
 }
 
-float* EffTTTable::grad_slice(GradAccum& acc, int k, index_t ik) {
-  auto& stamps = acc.stamp[static_cast<std::size_t>(k)];
-  Matrix& g = acc.core_grads[static_cast<std::size_t>(k)];
-  const index_t rk = cores_.shape().rank(k);
-  float* block = g.row(ik * rk);
-  if (stamps[static_cast<std::size_t>(ik)] != acc.epoch) {
-    stamps[static_cast<std::size_t>(ik)] = acc.epoch;
-    acc.touched[static_cast<std::size_t>(k)].push_back(ik);
-    std::fill(block, block + rk * g.cols(), 0.0f);
-  }
-  return block;
-}
-
-void EffTTTable::accumulate_row_gradient(GradAccum& acc,
-                                         BackwardScratch& scratch,
-                                         index_t row, const float* p12,
-                                         const float* g) {
+void EffTTTable::chain_rule(std::span<const index_t> rows,
+                            std::span<const float* const> p12,
+                            std::span<const float* const> grads) {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
-  const index_t n1 = shape.col_factor(0);
-  const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
-  const index_t r1 = shape.rank(1);
+  const auto u = static_cast<index_t>(rows.size());
+  const bool parallel = u >= kMinParallelItems;
+  std::size_t gemms = 0;
 
-  scratch.parts.resize(static_cast<std::size_t>(d));
-  shape.factorize_row(row, scratch.parts);
-
-  // Forward chain prefixes beyond P12 (needed when d > 3): chain[k] holds
-  // A_k (P_k x R_{k+1}) for k in [2, d-2]; A_1 == p12.
-  if (d > 3) {
-    scratch.chain.resize(static_cast<std::size_t>(d));
-    scratch.row_out.resize(static_cast<std::size_t>(shape.dim()));
-    chain_suffix(row, p12, scratch.row_out.data(), &scratch.chain, scratch.sa,
-                 scratch.sb);
+  if (core_grads_.empty()) {
+    core_grads_.resize(at(d));
+    for (int k = 0; k < d; ++k) {
+      core_grads_[at(k)].resize(cores_.core(k).rows(), cores_.core(k).cols());
+    }
   }
+  groups_.resize(at(d));
+  chain_.resize(at(d));
 
-  // Backward sweep over cores d-1 .. 2: dA_{k} viewed (P_{k-1} x n_k R_{k+1});
-  // dC_k[i_k] += A_{k-1}^T * view; dA_{k-1} = view * C_k[i_k]^T.
-  scratch.d_prefix.assign(g, g + shape.dim());
-  index_t pk = shape.dim();  // P_k as we sweep down
-  for (int k = d - 1; k >= 2; --k) {
-    const index_t cols = cores_.slice_cols(k);  // n_k * R_{k+1}
+  // i_k of every item, core-major so each core's keys are one span.
+  parts_.resize(at(d * u));
+  parallel_for(index_t{0}, u, parallel, [&](index_t i) {
+    index_t row = rows[at(i)];
+    for (int k = d - 1; k >= 0; --k) {
+      parts_[at(k * u + i)] = row % shape.row_factor(k);
+      row /= shape.row_factor(k);
+    }
+  });
+  const auto keys = [&](int k) {
+    return std::span<const index_t>(parts_).subspan(at(k * u), at(u));
+  };
+
+  // pk[k] = n_0 ... n_k, the rows of A_k (pk[k] x R_{k+1}): the product of
+  // cores 0..k. A_1 is the prefix product, A_k for k >= 2 sits in chain_[k]
+  // in groups_[k] order.
+  std::vector<index_t> pk(at(d));
+  pk[0] = shape.col_factor(0);
+  for (int k = 1; k < d; ++k) pk[at(k)] = pk[at(k - 1)] * shape.col_factor(k);
+  const auto a_of = [&](int k, index_t i) -> const float* {
+    if (k == 1) return p12[at(i)];
+    return chain_[at(k)].data() +
+           groups_[at(k)].pos[at(i)] * pk[at(k)] * shape.rank(k + 1);
+  };
+
+  // d > 3: A_2 .. A_{d-2} of every item, one NN per touched i_k over the
+  // group's stacked A_{k-1}.
+  for (int k = 2; k <= d - 2; ++k) {
+    SliceGroups& g = groups_[at(k)];
+    group_by_slice(keys(k), shape.row_factor(k), g);
     const index_t rk = shape.rank(k);
-    pk /= shape.col_factor(k);  // P_{k-1}
-    const float* a_prev =
-        k == 2 ? p12 : scratch.chain[static_cast<std::size_t>(k - 1)].data();
-    gemm(Trans::kYes, Trans::kNo, rk, cols, pk, 1.0f, a_prev, rk,
-         scratch.d_prefix.data(), cols, 1.0f,
-         grad_slice(acc, k, scratch.parts[static_cast<std::size_t>(k)]), cols);
-    scratch.d_prev.assign(static_cast<std::size_t>(pk) * rk, 0.0f);
-    gemm(Trans::kNo, Trans::kYes, pk, rk, cols, 1.0f, scratch.d_prefix.data(),
-         cols, cores_.slice(k, scratch.parts[static_cast<std::size_t>(k)]),
-         cols, 0.0f, scratch.d_prev.data(), rk);
-    scratch.d_prefix.swap(scratch.d_prev);
-    acc.gemms += 2;
+    const index_t cols = cores_.slice_cols(k);
+    const index_t a_floats = pk[at(k - 1)] * rk;
+    chain_[at(k)].resize(at(u * pk[at(k - 1)] * cols));
+    for_each_group(g, parallel, [&](index_t ik, index_t lo, index_t cnt) {
+      float* as = group_scratch(cnt * a_floats);
+      for (index_t j = 0; j < cnt; ++j) {
+        std::copy_n(a_of(k - 1, g.members[at(lo + j)]), a_floats,
+                    as + j * a_floats);
+      }
+      gemm(Trans::kNo, Trans::kNo, cnt * pk[at(k - 1)], cols, rk, 1.0f, as,
+           rk, cores_.slice(k, ik), cols, 0.0f,
+           chain_[at(k)].data() + lo * pk[at(k - 1)] * cols, cols);
+    });
+    gemms += g.touched.size();
   }
 
-  // First two cores from W = dP12, viewed (n1 x n2 R2).
-  ELREC_DCHECK(static_cast<index_t>(scratch.d_prefix.size()) ==
-               n1 * shape.col_factor(1) * shape.rank(2));
-  // dC1[i1] += A0^T (R1 x n1) * W-view (n1 x n2 R2); A0 = C0[i0] as n1 x R1.
-  gemm(Trans::kYes, Trans::kNo, r1, n2r2, n1, 1.0f,
-       cores_.slice(0, scratch.parts[0]), r1, scratch.d_prefix.data(), n2r2,
-       1.0f, grad_slice(acc, 1, scratch.parts[1]), n2r2);
-  // dC0[i0] += W-view * C1[i1]^T — (n1 x R1), flat == the 1 x (n1 R1) slice.
-  gemm(Trans::kNo, Trans::kYes, n1, r1, n2r2, 1.0f, scratch.d_prefix.data(),
-       n2r2, cores_.slice(1, scratch.parts[1]), n2r2, 1.0f,
-       grad_slice(acc, 0, scratch.parts[0]), r1);
-  acc.gemms += 2;
+  // Backward sweep over cores d-1 .. 2. Level k stacks each group's A_{k-1}
+  // (P x R_k, P = pk[k-1]) and dA_k (P x n_k R_{k+1}) in item order. One TN
+  // gives the slice gradient as the full-tile transpose
+  // dC_k[i_k]^T = dA^T A (n_k R_{k+1} x R_k), and one NN over the packed
+  // C_k[i_k]^T gives every member's dA_{k-1} = dA C_k[i_k]^T, in groups_[k]
+  // order in sweep_out_ — the next level's dA input.
+  int out = 0;
+  for (int k = d - 1; k >= 2; --k) {
+    SliceGroups& g = groups_[at(k)];
+    if (k == d - 1) group_by_slice(keys(k), shape.row_factor(k), g);
+    const index_t rk = shape.rank(k);
+    const index_t cols = cores_.slice_cols(k);
+    const index_t p = pk[at(k - 1)];
+    const index_t a_floats = p * rk;
+    const index_t d_floats = p * cols;
+    const index_t tile = cols * rk;
+    const std::vector<float>& d_in = sweep_out_[1 - out];
+    const auto d_of = [&](index_t i) -> const float* {
+      if (k == d - 1) return grads[at(i)];
+      return d_in.data() + groups_[at(k + 1)].pos[at(i)] * d_floats;
+    };
+    std::vector<float>& d_out = sweep_out_[out];
+    d_out.resize(at(u * a_floats));
+    for_each_group(g, parallel, [&](index_t ik, index_t lo, index_t cnt) {
+      float* as = group_scratch(cnt * (a_floats + d_floats) + 2 * tile);
+      float* ds = as + cnt * a_floats;
+      for (index_t j = 0; j < cnt; ++j) {
+        const index_t i = g.members[at(lo + j)];
+        std::copy_n(a_of(k - 1, i), a_floats, as + j * a_floats);
+        std::copy_n(d_of(i), d_floats, ds + j * d_floats);
+      }
+      float* grad_t = ds + cnt * d_floats;  // dC_k[i_k]^T
+      float* core_t = grad_t + tile;        // C_k[i_k]^T
+      gemm(Trans::kYes, Trans::kNo, cols, rk, cnt * p, 1.0f, ds, cols, as, rk,
+           0.0f, grad_t, rk);
+      float* grad = core_grads_[at(k)].row(ik * rk);
+      const float* core = cores_.slice(k, ik);
+      for (index_t r = 0; r < rk; ++r) {
+        for (index_t c = 0; c < cols; ++c) {
+          grad[r * cols + c] = grad_t[c * rk + r];
+          core_t[c * rk + r] = core[r * cols + c];
+        }
+      }
+      gemm(Trans::kNo, Trans::kNo, cnt * p, rk, cols, 1.0f, ds, cols, core_t,
+           rk, 0.0f, d_out.data() + lo * a_floats, rk);
+    });
+    gemms += 2 * g.touched.size();
+    out = 1 - out;
+  }
+  const std::vector<float>& dp12 = sweep_out_[1 - out];  // dA_1, groups_[2]
+  const SliceGroups& g2 = groups_[2];
+
+  // Runs of consecutive items sharing an (i0, i1) prefix; sorted unique rows
+  // give exactly one run per unique prefix.
+  const index_t suffix = suffix_length();
+  run_begin_.clear();
+  run_i0_.clear();
+  run_i1_.clear();
+  for (index_t i = 0; i < u; ++i) {
+    if (i > 0 && rows[at(i)] / suffix == rows[at(i - 1)] / suffix) continue;
+    run_begin_.push_back(i);
+    run_i0_.push_back(parts_[at(i)]);
+    run_i1_.push_back(parts_[at(u + i)]);
+  }
+  const auto runs = static_cast<index_t>(run_i0_.size());
+  run_begin_.push_back(u);
+
+  // Core 1: per touched i1, each member run's W = sum of its items' dP12
+  // (n1 x n2 R2, in item order) and its C0[i0] (n1 x R1) are stacked, and
+  // one TN gives dC1[i1] = C0-stack^T W-stack.
+  const index_t n1 = shape.col_factor(0);
+  const index_t r1 = shape.rank(1);
+  const index_t n2r2 = cores_.slice_cols(1);
+  const index_t w_floats = n1 * n2r2;
+  SliceGroups& g1 = groups_[1];
+  group_by_slice(run_i1_, shape.row_factor(1), g1);
+  run_w_.resize(at(runs * w_floats));
+  for_each_group(g1, parallel, [&](index_t i1, index_t lo, index_t cnt) {
+    float* c0_stack = group_scratch(cnt * n1 * r1);
+    for (index_t j = 0; j < cnt; ++j) {
+      const index_t q = g1.members[at(lo + j)];
+      const index_t first = run_begin_[at(q)];
+      float* w = run_w_.data() + (lo + j) * w_floats;
+      std::copy_n(dp12.data() + g2.pos[at(first)] * w_floats, w_floats, w);
+      for (index_t i = first + 1; i < run_begin_[at(q + 1)]; ++i) {
+        add_into(dp12.data() + g2.pos[at(i)] * w_floats, w_floats, w);
+      }
+      std::copy_n(cores_.slice(0, run_i0_[at(q)]), n1 * r1,
+                  c0_stack + j * n1 * r1);
+    }
+    gemm(Trans::kYes, Trans::kNo, r1, n2r2, cnt * n1, 1.0f, c0_stack, r1,
+         run_w_.data() + lo * w_floats, n2r2, 0.0f,
+         core_grads_[1].row(i1 * r1), n2r2);
+  });
+
+  // Core 0: per touched i0, the member runs' W (n1 x n2 R2) and C1[i1]
+  // (R1 x n2 R2) are laid side by side along k, and one NT gives
+  // dC0[i0] (n1 x R1) = W-cat C1-cat^T.
+  SliceGroups& g0 = groups_[0];
+  group_by_slice(run_i0_, shape.row_factor(0), g0);
+  for_each_group(g0, parallel, [&](index_t i0, index_t lo, index_t cnt) {
+    const index_t kk = cnt * n2r2;
+    float* w_cat = group_scratch(kk * (n1 + r1));
+    float* c_cat = w_cat + n1 * kk;
+    for (index_t j = 0; j < cnt; ++j) {
+      const index_t q = g0.members[at(lo + j)];
+      const float* w = run_w_.data() + g1.pos[at(q)] * w_floats;
+      const float* c1 = cores_.slice(1, run_i1_[at(q)]);
+      for (index_t r = 0; r < n1; ++r) {
+        std::copy_n(w + r * n2r2, n2r2, w_cat + r * kk + j * n2r2);
+      }
+      for (index_t r = 0; r < r1; ++r) {
+        std::copy_n(c1 + r * n2r2, n2r2, c_cat + r * kk + j * n2r2);
+      }
+    }
+    gemm(Trans::kNo, Trans::kYes, n1, r1, kk, 1.0f, w_cat, kk, c_cat, kk, 0.0f,
+         core_grads_[0].row(i0 * shape.rank(0)), r1);
+  });
+  gemms += g1.touched.size() + g0.touched.size();
+  stats_.backward_gemms += gemms;
+}
+
+void EffTTTable::map_positions_to_samples(const IndexBatch& batch) {
+  sample_of_pos_.resize(batch.indices.size());
+  for (index_t s = 0; s < batch.batch_size(); ++s) {
+    for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
+      sample_of_pos_[at(pos)] = s;
+    }
+  }
 }
 
 void EffTTTable::aggregate_unique_gradients(const IndexBatch& batch,
@@ -397,14 +557,7 @@ void EffTTTable::aggregate_unique_gradients(const IndexBatch& batch,
   const index_t n = dim();
   const index_t u = static_cast<index_t>(cached_unique_.unique.size());
   const std::size_t total = cached_unique_.occurrence.size();
-
-  // Position -> owning sample (bag) of the flat index list.
-  sample_of_pos_.resize(total);
-  for (index_t s = 0; s < batch.batch_size(); ++s) {
-    for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
-      sample_of_pos_[static_cast<std::size_t>(pos)] = s;
-    }
-  }
+  map_positions_to_samples(batch);
 
   // CSR of occurrence positions per unique row; positions stay ascending
   // within a row, so each row's gradient sum has a fixed float order no
@@ -440,53 +593,12 @@ void EffTTTable::aggregate_unique_gradients(const IndexBatch& batch,
   });
 }
 
-void EffTTTable::merge_grad_shards() {
-  const int d = cores_.shape().num_cores();
-  for (int k = 0; k < d; ++k) {
-    // Union of the shards' touched slices, walked in fixed shard order so
-    // the master touched list (and every sum below) is thread-count-free.
-    for (GradAccum& shard : grad_shards_) {
-      for (index_t ik : shard.touched[static_cast<std::size_t>(k)]) {
-        grad_slice(grad_master_, k, ik);
-      }
-    }
-    const auto& list = grad_master_.touched[static_cast<std::size_t>(k)];
-    const index_t rk = cores_.shape().rank(k);
-    const index_t block =
-        rk * grad_master_.core_grads[static_cast<std::size_t>(k)].cols();
-    parallel_for(std::size_t{0}, list.size(), list.size() >= 16,
-                 [&](std::size_t idx) {
-      const index_t ik = list[idx];
-      float* dst =
-          grad_master_.core_grads[static_cast<std::size_t>(k)].row(ik * rk);
-      for (const GradAccum& shard : grad_shards_) {
-        if (shard.stamp[static_cast<std::size_t>(k)]
-                       [static_cast<std::size_t>(ik)] != shard.epoch) {
-          continue;
-        }
-        const float* src =
-            shard.core_grads[static_cast<std::size_t>(k)].row(ik * rk);
-#pragma omp simd
-        for (index_t t = 0; t < block; ++t) dst[t] += src[t];
-      }
-    });
-  }
-  for (const GradAccum& shard : grad_shards_) {
-    grad_master_.gemms += shard.gemms;
-  }
-}
-
 void EffTTTable::backward_and_update(const IndexBatch& batch,
                                      const Matrix& grad_out, float lr) {
   TRACE_SPAN("efftt.backward");
   ELREC_CHECK(grad_out.rows() == batch.batch_size() && grad_out.cols() == dim(),
               "grad_out shape mismatch");
   const TTShape& shape = cores_.shape();
-
-  if (grad_master_.core_grads.empty()) init_grad_accum(grad_master_);
-  ++grad_master_.epoch;
-  for (auto& t : grad_master_.touched) t.clear();
-  grad_master_.gemms = 0;
 
   remap_rows(batch.indices, cached_rows_);
 
@@ -498,79 +610,49 @@ void EffTTTable::backward_and_update(const IndexBatch& batch,
       compute_prefix_products(cached_unique_.unique);
       unique_slots_ = prep_.slot_of;
     }
-    const index_t u = static_cast<index_t>(cached_unique_.unique.size());
+    const std::size_t u = cached_unique_.unique.size();
     {
       TRACE_SPAN("efftt.grad_aggregate");
       aggregate_unique_gradients(batch, grad_out);
     }
-
     // Step 2: chain rule once per unique row, prefix products shared.
-    // Unique rows are cut into kGradShards contiguous blocks; each shard
-    // accumulates into its own core-gradient buffers (no locks), and
-    // merge_grad_shards() folds them into grad_master_ in shard order —
-    // the result is bitwise identical at any thread count.
-    if (grad_shards_.empty()) {
-      grad_shards_.resize(kGradShards);
-      shard_scratch_.resize(kGradShards);
-      for (GradAccum& shard : grad_shards_) init_grad_accum(shard);
+    p12_ptrs_.resize(u);
+    grad_ptrs_.resize(u);
+    for (std::size_t i = 0; i < u; ++i) {
+      p12_ptrs_[i] = reuse_buffer_.slot_data(unique_slots_[i]);
+      grad_ptrs_[i] = grad_agg_buf_.row(static_cast<index_t>(i));
     }
-    {
-      TRACE_SPAN("efftt.grad_chain");
-      // Shards differ in work, so they are handed out dynamically; the gemm
-      // calls inside run serially on the shard's thread.
-      const auto chain_shard = [&](int s) {
-        GradAccum& acc = grad_shards_[static_cast<std::size_t>(s)];
-        BackwardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
-        ++acc.epoch;
-        for (auto& t : acc.touched) t.clear();
-        acc.gemms = 0;
-        const index_t lo = u * s / kGradShards;
-        const index_t hi = u * (s + 1) / kGradShards;
-        for (index_t i = lo; i < hi; ++i) {
-          accumulate_row_gradient(
-              acc, scratch, cached_unique_.unique[static_cast<std::size_t>(i)],
-              reuse_buffer_.slot_data(
-                  unique_slots_[static_cast<std::size_t>(i)]),
-              grad_agg_buf_.row(i));
-        }
-      };
-      if (fork_omp_team(u >= 2 * kGradShards)) {
-#pragma omp parallel for schedule(dynamic, 1)
-        for (int s = 0; s < kGradShards; ++s) chain_shard(s);
-      } else {
-        for (int s = 0; s < kGradShards; ++s) chain_shard(s);
-      }
-    }
-    {
-      TRACE_SPAN("efftt.grad_merge");
-      merge_grad_shards();
-    }
+    TRACE_SPAN("efftt.grad_chain");
+    chain_rule(cached_unique_.unique, p12_ptrs_, grad_ptrs_);
   } else {
-    // Ablation: per-occurrence gradients (the TT-Rec cost the paper removes).
-    const index_t n12 = shape.col_factor(0) * shape.col_factor(1);
-    const index_t r2 = shape.rank(2);
+    // Ablation: per-occurrence gradients (the TT-Rec cost the paper
+    // removes). Every occurrence recomputes its prefix product and enters
+    // the chain rule as an item of its own.
+    map_positions_to_samples(batch);
+    const auto total = static_cast<index_t>(cached_rows_.size());
     const index_t m2 = shape.row_factor(1);
     const index_t suffix = suffix_length();
     const index_t n1 = shape.col_factor(0);
-    const index_t n2r2 = shape.col_factor(1) * shape.rank(2);
+    const index_t n2r2 = cores_.slice_cols(1);
     const index_t r1 = shape.rank(1);
-    std::vector<float> p12(static_cast<std::size_t>(n12) * r2);
-    for (index_t s = 0; s < batch.batch_size(); ++s) {
-      const float* g = grad_out.row(s);
-      for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
-        const index_t row = cached_rows_[static_cast<std::size_t>(pos)];
-        const index_t prefix = row / suffix;
-        gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
-             cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2),
-             n2r2, 0.0f, p12.data(), n2r2);
-        stats_.backward_gemms += 1;
-        accumulate_row_gradient(grad_master_, seq_scratch_, row, p12.data(),
-                                g);
-      }
+    occ_p12_.resize(total, n1 * n2r2);
+    parallel_for(index_t{0}, total, total >= kMinParallelItems, [&](index_t i) {
+      const index_t prefix = cached_rows_[at(i)] / suffix;
+      gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
+           cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2),
+           n2r2, 0.0f, occ_p12_.row(i), n2r2);
+    });
+    stats_.backward_gemms += at(total);
+    p12_ptrs_.resize(at(total));
+    grad_ptrs_.resize(at(total));
+    for (index_t i = 0; i < total; ++i) {
+      p12_ptrs_[at(i)] = occ_p12_.row(i);
+      grad_ptrs_[at(i)] = grad_out.row(sample_of_pos_[at(i)]);
     }
+    TRACE_SPAN("efftt.grad_chain");
+    chain_rule(cached_rows_, p12_ptrs_, grad_ptrs_);
   }
 
-  stats_.backward_gemms += grad_master_.gemms;
   {
     TRACE_SPAN("efftt.update");
     apply_update(lr);
@@ -602,10 +684,10 @@ void EffTTTable::apply_update(float lr) {
     for (int k = 0; k < d; ++k) {
       const index_t rk = shape.rank(k);
       const index_t cols = cores_.core(k).cols();
-      Matrix& grads = grad_master_.core_grads[static_cast<std::size_t>(k)];
+      Matrix& grads = core_grads_[static_cast<std::size_t>(k)];
       OptimizerState& opt = core_optimizers_[static_cast<std::size_t>(k)];
       opt.prepare();
-      const auto& touched = grad_master_.touched[static_cast<std::size_t>(k)];
+      const auto& touched = groups_[static_cast<std::size_t>(k)].touched;
       parallel_for(std::size_t{0}, touched.size(), touched.size() >= 64,
                    [&](std::size_t t) {
         const index_t ik = touched[t];
@@ -631,8 +713,8 @@ void EffTTTable::apply_update(float lr) {
     staging.set_zero();
     const index_t rk = shape.rank(k);
     const index_t cols = cores_.core(k).cols();
-    Matrix& grads = grad_master_.core_grads[static_cast<std::size_t>(k)];
-    for (index_t ik : grad_master_.touched[static_cast<std::size_t>(k)]) {
+    Matrix& grads = core_grads_[static_cast<std::size_t>(k)];
+    for (index_t ik : groups_[static_cast<std::size_t>(k)].touched) {
       std::copy(grads.row(ik * rk), grads.row(ik * rk) + rk * cols,
                 staging.row(ik * rk));
     }

@@ -9,11 +9,12 @@
 //    touching TT cores (in-advance gradient aggregation) and applies SGD
 //    directly to the touched slices (fused TT-core update).
 //
-// The backward runs in parallel: unique rows are partitioned into a FIXED
-// number of contiguous shards (kGradShards, independent of the thread
-// count), each shard accumulates TT-core gradients into private buffers,
-// and the shards are merged in shard order — so the updated cores are
-// bitwise identical whether the batch ran on 1 thread or N.
+// The backward runs in parallel with one owner per core-gradient slice:
+// rows are grouped by the slice they select (a stable counting sort), and
+// each touched slice is computed by one stacked GEMM over its group, in
+// ascending row order — so every slice's float order is a function of the
+// batch alone and the updated cores are bitwise identical whether the batch
+// ran on 1 thread or N.
 //
 // Every optimization can be disabled independently through EffTTConfig; the
 // ablation benchmarks (Figs. 14/17/18) flip exactly one switch at a time.
@@ -132,6 +133,14 @@ class EffTTTable final : public IEmbeddingTable {
   };
   const Stats& last_stats() const { return stats_; }
 
+  /// Slices of core k that the last backward_and_update() updated: every
+  /// i_k some row of the batch selected, ascending and unique.
+  std::span<const index_t> touched_slices(int k) const {
+    const auto slot = static_cast<std::size_t>(k);
+    if (slot >= groups_.size()) return {};
+    return groups_[slot].touched;
+  }
+
  private:
   // Applies the bijection (if any) producing the physical row list.
   void remap_rows(const std::vector<index_t>& in, std::vector<index_t>& out) const;
@@ -159,56 +168,40 @@ class EffTTTable final : public IEmbeddingTable {
   // prod_{k >= 2} m_k — the divisor turning a row id into its prefix id.
   index_t suffix_length() const;
 
-  // Chains cores 2..d-1 onto a prefix product; optionally records the
-  // intermediate prefixes for the backward pass.
+  // Chains cores 2..d-1 onto a prefix product (n1 n2 x R2) into the final
+  // embedding row at dst; scratch vectors are caller-provided.
   void chain_suffix(index_t row, const float* p12, float* dst,
-                    std::vector<std::vector<float>>* chain,
                     std::vector<float>& sa, std::vector<float>& sb) const;
 
   // Full-recompute forward used when intermediate_reuse is off.
   void forward_no_reuse(const IndexBatch& batch,
                         const std::vector<index_t>& rows, Matrix& out);
 
-  // One gradient-accumulation domain: core-shaped gradient buffers with
-  // epoch-stamped lazy zeroing and per-core touched-slice lists. The master
-  // accumulator and every shard are instances of this; shards let the
-  // backward run on multiple threads while the fixed shard-merge order keeps
-  // the summed gradients bitwise identical at any thread count.
-  struct GradAccum {
-    std::vector<Matrix> core_grads;
-    std::vector<std::vector<std::uint64_t>> stamp;
-    std::vector<std::vector<index_t>> touched;
-    std::uint64_t epoch = 0;
-    std::size_t gemms = 0;  // backward GEMMs issued into this accumulator
+  // Items (unique rows, or occurrences in the ablation) grouped by the
+  // slice they select in one core, by a stable counting sort: `touched`
+  // lists the selected slices ascending, group t holds
+  // members[offsets[t], offsets[t+1]) in ascending item order, and pos maps
+  // an item back to its index in `members`.
+  struct SliceGroups {
+    std::vector<index_t> touched;
+    std::vector<index_t> offsets;
+    std::vector<index_t> members;
+    std::vector<index_t> pos;
+    std::vector<index_t> cursor;  // counting-sort scratch, one per slice
   };
 
-  // Reusable scratch for accumulate_row_gradient: hoists the per-row
-  // parts/chain/d_prefix heap allocations out of the unique-row loop. One
-  // instance per shard (and one for the sequential ablation path).
-  struct BackwardScratch {
-    std::vector<index_t> parts;
-    std::vector<std::vector<float>> chain;
-    std::vector<float> d_prefix;
-    std::vector<float> d_prev;
-    std::vector<float> sa, sb;
-    std::vector<float> row_out;
-  };
+  // Fills `g` from keys[item] in [0, slices).
+  static void group_by_slice(std::span<const index_t> keys, index_t slices,
+                             SliceGroups& g);
 
-  // Unique rows are split into this fixed number of contiguous shards,
-  // independent of the OpenMP thread count, so the reduction tree (and the
-  // float sum order) is a function of the batch alone.
-  static constexpr int kGradShards = 16;
-
-  // Gradient accumulation into `acc`'s touched-slice buffers for one logical
-  // row with embedding gradient g (length dim). `p12` is its prefix product.
-  void accumulate_row_gradient(GradAccum& acc, BackwardScratch& scratch,
-                               index_t row, const float* p12, const float* g);
-
-  // Zeroes (lazily) and returns the gradient block of slice `ik` of core k.
-  float* grad_slice(GradAccum& acc, int k, index_t ik);
-
-  // Allocates core-shaped gradient buffers for one accumulator.
-  void init_grad_accum(GradAccum& acc) const;
+  // The chain rule over `rows` (item i has prefix product p12[i] and
+  // embedding gradient grads[i]): writes every touched core-gradient slice
+  // into core_grads_ and groups_[k].touched, one stacked GEMM per slice.
+  // Cores d-1..2 sweep per item; cores 0 and 1 take one product per run of
+  // consecutive items that share a (i0, i1) prefix.
+  void chain_rule(std::span<const index_t> rows,
+                  std::span<const float* const> p12,
+                  std::span<const float* const> grads);
 
   // §III-B Step 1, parallel: segment-sums per-occurrence embedding gradients
   // into grad_agg_buf_ (one row per unique index) via a CSR of occurrence
@@ -216,9 +209,8 @@ class EffTTTable final : public IEmbeddingTable {
   void aggregate_unique_gradients(const IndexBatch& batch,
                                   const Matrix& grad_out);
 
-  // Adds every shard's touched slices into grad_master_ in shard order
-  // (deterministic), parallel across disjoint output slices.
-  void merge_grad_shards();
+  // Position -> owning sample (bag) of the flat index list.
+  void map_positions_to_samples(const IndexBatch& batch);
 
   void apply_update(float lr);
 
@@ -236,14 +228,24 @@ class EffTTTable final : public IEmbeddingTable {
   std::vector<index_t> unique_slots_;      // reuse-buffer slot per unique row
   bool forward_cache_valid_ = false;
 
-  // Touched-slice gradient accumulators (allocated like the cores; only
-  // slices seen this batch are zeroed/updated). grad_master_ holds the final
-  // per-batch gradients consumed by apply_update; grad_shards_ are the
-  // per-shard partial accumulators of the parallel backward.
-  GradAccum grad_master_;
-  std::vector<GradAccum> grad_shards_;
-  std::vector<BackwardScratch> shard_scratch_;
-  BackwardScratch seq_scratch_;  // ablation (per-occurrence) path
+  // Core-shaped gradient buffers; only the slices in groups_[k].touched
+  // hold this batch's gradients (each is overwritten whole by its owner).
+  std::vector<Matrix> core_grads_;
+  std::vector<SliceGroups> groups_;  // per core: items (k >= 2) or runs
+
+  // chain_rule state, reused across batches (a group's stacked operands
+  // live in per-thread scratch). parts_ is core-major
+  // (parts_[k * items + i] = i_k of item i); chain_[k] holds A_k of every
+  // item in groups_[k] order (d > 3); sweep_out_ alternates between the
+  // levels of the backward sweep (dA_{k-1} in groups_[k] order); run_w_
+  // holds each prefix run's summed dP12 in groups_[1] order.
+  std::vector<index_t> parts_;
+  std::vector<index_t> run_begin_, run_i0_, run_i1_;
+  std::vector<std::vector<float>> chain_;
+  std::vector<float> sweep_out_[2];
+  std::vector<float> run_w_;
+  std::vector<const float*> p12_ptrs_, grad_ptrs_;
+  Matrix occ_p12_;  // ablation: per-occurrence prefix products
 
   // CSR of occurrence positions per unique row + pos -> sample map, rebuilt
   // each backward batch for the parallel in-advance aggregation.

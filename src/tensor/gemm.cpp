@@ -216,9 +216,33 @@ inline void kernel_tn_edge(index_t mr, index_t nr, index_t kb, float alpha,
   }
 }
 
+// n == 1 (a column: the top MLP's last-layer weight gradient, 32 x 1 with
+// k = batch). A 16-wide edge tile would use one lane per k step; here the m
+// accumulators (m <= kBlockM) run across A's contiguous row, so one k step
+// is one vector FMA. Each element still sums its k terms in order and adds
+// alpha * acc at the end, the edge tile's operations.
+inline void gemm_tn_column(index_t m, index_t k, float alpha,
+                           const float* ELREC_RESTRICT a, index_t lda,
+                           const float* ELREC_RESTRICT b, index_t ldb,
+                           float* ELREC_RESTRICT c, index_t ldc) {
+  ELREC_DCHECK(m <= kBlockM);
+  float acc[kBlockM] = {};
+  for (index_t kk = 0; kk < k; ++kk) {
+    const float* ELREC_RESTRICT arow = a + kk * lda;
+    const float bk = b[kk * ldb];
+#pragma omp simd
+    for (index_t i = 0; i < m; ++i) acc[i] += arow[i] * bk;
+  }
+  for (index_t i = 0; i < m; ++i) c[i * ldc] += alpha * acc[i];
+}
+
 void gemm_tn_block(index_t m, index_t n, index_t k, float alpha,
                    const float* a, index_t lda, const float* b, index_t ldb,
                    float* c, index_t ldc) {
+  if (n == 1) {
+    gemm_tn_column(m, k, alpha, a, lda, b, ldb, c, ldc);
+    return;
+  }
   index_t i = 0;
   for (; i + kMR <= m; i += kMR) {
     float* crow = c + i * ldc;

@@ -27,7 +27,8 @@ class Matrix {
   /// tests. All rows must have the same length.
   Matrix(std::initializer_list<std::initializer_list<float>> rows);
 
-  /// Reallocates to rows x cols, zero-filled. Contents are not preserved.
+  /// Resizes to rows x cols, zero-filled. Contents are not preserved; the
+  /// allocation is kept when it already holds rows * cols floats.
   void resize(index_t rows, index_t cols);
 
   index_t rows() const { return rows_; }

@@ -1,15 +1,17 @@
-// Bitwise determinism of the parallel Eff-TT backward: the unique rows of a
-// batch are split into a FIXED number of contiguous shards (independent of
-// the OpenMP thread count) and the shards merge in shard order, so training
+// Bitwise determinism of the parallel Eff-TT backward: each touched
+// core-gradient slice is owned by one thread, which sums its group of rows
+// (a stable counting sort of the batch) in ascending row order, so training
 // the same table on the same stream must produce byte-identical cores at any
-// thread count. PR 1's crash-safe checkpoint/resume replays batches and
-// compares parameters exactly — this property is what makes that valid.
+// thread count. Crash-safe checkpoint/resume replays batches and compares
+// parameters exactly — this property is what makes that valid.
 // The DLRM feature interaction, split across threads by sample, and the MLP
 // train step (k-split weight gradients, packed input gradients, row-parallel
 // bias+ReLU) are held to the same contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #ifdef _OPENMP
@@ -17,6 +19,7 @@
 #endif
 
 #include "core/eff_tt_table.hpp"
+#include "data/zipf.hpp"
 #include "dlrm/interaction.hpp"
 #include "dlrm/mlp.hpp"
 #include "embed/index_batch.hpp"
@@ -28,7 +31,7 @@ constexpr index_t kRows = 5000;
 constexpr index_t kDim = 16;
 constexpr index_t kRank = 8;
 
-// Batches big enough that the parallel shard path (u >= 2 * shards) and the
+// Batches big enough that the parallel slice-owned chain rule and the
 // parallel aggregation path actually engage, with repeats so in-advance
 // aggregation has multi-occurrence rows to segment-sum.
 std::vector<IndexBatch> make_batches(std::uint64_t seed, int count,
@@ -123,8 +126,8 @@ TEST_F(BackwardDeterminismTest, AdagradBitwiseAcrossThreadCounts) {
 
 TEST_F(BackwardDeterminismTest, AblationPathsBitwiseAcrossThreadCounts) {
   // Every ablation (aggregation off, fused update off) must hold the same
-  // invariant; their backward loops run through the same sharded machinery
-  // or a strictly serial path.
+  // invariant; the per-occurrence ablation runs through the same
+  // slice-owned chain rule, over occurrences instead of unique rows.
   for (int p = 0; p < 4; ++p) {
     EffTTConfig config{true, (p & 1) != 0, (p & 2) != 0};
     EffTTTable t1 = train(1, batches_, grads_, config);
@@ -145,6 +148,109 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// A multi-hot Zipf batch whose draws land, half the time, in one slice
+// `hot` of the last core: that slice's group is far larger than the others
+// (its stacked product splits k), and the hottest prefixes repeat.
+IndexBatch hot_slice_batch(const TTShape& shape, index_t rows, index_t hot,
+                           index_t batch_size) {
+  const index_t m_last = shape.row_factor(shape.num_cores() - 1);
+  Prng rng(13);
+  const ZipfSampler zipf(rows, 1.05, rng);
+  std::vector<std::vector<index_t>> bags(static_cast<std::size_t>(batch_size));
+  for (auto& bag : bags) {
+    const int len = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int i = 0; i < len; ++i) {
+      index_t row = zipf.sample(rng);
+      if (rng.uniform() < 0.5) {
+        row = std::min(row / m_last * m_last + hot, rows - 1);
+      }
+      bag.push_back(row);
+    }
+  }
+  return IndexBatch::from_bags(bags);
+}
+
+struct SliceOwnedRun {
+  std::vector<Matrix> cores;
+  std::vector<std::vector<index_t>> touched;
+};
+
+// One training step of a fresh identically-seeded table under `threads`
+// OpenMP threads (one step keeps the test affordable under TSan).
+SliceOwnedRun train_slice_owned(int threads, const TTShape& shape,
+                                index_t rows, const IndexBatch& batch,
+                                EffTTConfig config) {
+  set_threads(threads);
+  Prng rng(42);
+  EffTTTable table(rows, shape, rng, config);
+  Prng grad_rng(9);
+  Matrix g(batch.batch_size(), shape.dim());
+  g.fill_normal(grad_rng, 0.0f, 0.1f);
+  Matrix out;
+  table.forward(batch, out);
+  table.backward_and_update(batch, g, 0.05f);
+  set_threads(1);
+  SliceOwnedRun run;
+  for (int k = 0; k < shape.num_cores(); ++k) {
+    run.cores.push_back(table.cores().core(k));
+    const auto t = table.touched_slices(k);
+    run.touched.emplace_back(t.begin(), t.end());
+  }
+  return run;
+}
+
+TEST_F(BackwardDeterminismTest, HotSliceZipfBitwiseAt1And3And4Threads) {
+  // The pipelined Eff-TT training shape (dim 16, rank 16) with and without
+  // in-advance aggregation, and a 4-core shape. Few cases: under TSan every
+  // multi-threaded step costs about a minute.
+  constexpr index_t kZipfRows = 20000;
+  constexpr index_t kHot = 3;
+  struct Case {
+    TTShape shape;
+    bool aggregate;
+  };
+  const Case cases[] = {{TTShape::balanced(kZipfRows, 16, 3, 16), true},
+                        {TTShape::balanced(kZipfRows, 16, 3, 16), false},
+                        {TTShape::balanced(kZipfRows, 16, 4, 8), true}};
+  for (const Case& c : cases) {
+    const TTShape& shape = c.shape;
+    const IndexBatch batch = hot_slice_batch(shape, kZipfRows, kHot, 384);
+    // The hot slice's group must be big: more than 64 unique rows.
+    const int last = shape.num_cores() - 1;
+    std::vector<index_t> hot_rows;
+    for (index_t r : batch.indices) {
+      if (r % shape.row_factor(last) == kHot) hot_rows.push_back(r);
+    }
+    std::sort(hot_rows.begin(), hot_rows.end());
+    hot_rows.erase(std::unique(hot_rows.begin(), hot_rows.end()),
+                   hot_rows.end());
+    ASSERT_GT(hot_rows.size(), 64u) << shape.num_cores() << " cores";
+
+    const EffTTConfig config{true, c.aggregate, true};
+    const SliceOwnedRun t1 =
+        train_slice_owned(1, shape, kZipfRows, batch, config);
+    for (int k = 0; k < shape.num_cores(); ++k) {
+      const auto& touched = t1.touched[static_cast<std::size_t>(k)];
+      ASSERT_FALSE(touched.empty()) << "core " << k;
+      EXPECT_TRUE(std::adjacent_find(touched.begin(), touched.end(),
+                                     std::greater_equal<index_t>()) ==
+                  touched.end())
+          << "core " << k << " touched list not ascending and unique";
+    }
+    for (const int threads : {3, 4}) {
+      const SliceOwnedRun tn =
+          train_slice_owned(threads, shape, kZipfRows, batch, config);
+      for (int k = 0; k < shape.num_cores(); ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        EXPECT_TRUE(bitwise_equal(t1.cores[kk], tn.cores[kk]))
+            << shape.num_cores() << " cores, core " << k << ", aggregate "
+            << c.aggregate << ", " << threads << " threads";
+        EXPECT_EQ(t1.touched[kk], tn.touched[kk]);
+      }
+    }
+  }
 }
 
 struct InteractionRun {

@@ -117,6 +117,25 @@ TEST(AlignedBuffer, ZeroInitialised) {
   for (std::size_t i = 0; i < buf.size(); ++i) EXPECT_EQ(buf[i], 0.0f);
 }
 
+TEST(AlignedBuffer, ResizeWithinCapacityKeepsAllocationAndZeroes) {
+  AlignedBuffer<float> buf(64 * 16);
+  const float* first = buf.data();
+  buf.fill(5.0f);
+  buf.resize(64 * 16);  // same shape
+  EXPECT_EQ(buf.data(), first);
+  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf[i], 0.0f);
+  buf.fill(7.0f);
+  buf.resize(10);  // smaller
+  EXPECT_EQ(buf.data(), first);
+  EXPECT_EQ(buf.size(), 10u);
+  EXPECT_EQ(buf.capacity(), 64u * 16u);
+  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf[i], 0.0f);
+  buf.resize(64 * 16 + 1);  // beyond the capacity: a fresh zeroed block
+  EXPECT_EQ(buf.size(), 64u * 16u + 1u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kCacheLineBytes, 0u);
+  for (std::size_t i = 0; i < buf.size(); ++i) ASSERT_EQ(buf[i], 0.0f);
+}
+
 TEST(AlignedBuffer, CopyAndMoveSemantics) {
   AlignedBuffer<int> a(10);
   for (std::size_t i = 0; i < 10; ++i) a[i] = static_cast<int>(i);

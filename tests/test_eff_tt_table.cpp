@@ -4,6 +4,8 @@
 // Algorithm 1 pointer preparation, and the index bijection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/eff_tt_table.hpp"
 #include "tt/tt_table.hpp"
 
@@ -330,6 +332,226 @@ TEST(EffTTTable, LargeSkewedBatchStressEquivalence) {
     EXPECT_LT(Matrix::max_abs_diff(eff.cores().core(k), base.cores().core(k)),
               1e-3f);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Core gradients of the slice-owned backward against a double-precision
+// reference that differentiates every occurrence on its own. One SGD step
+// with lr = 1 turns the cores' change into the gradient: old - new.
+// ---------------------------------------------------------------------------
+
+// Core-shaped dL/dC_k in double: for every occurrence (row, bag gradient g),
+// dC_k[i_k](r, j, r') += sum_{a, b} L(a, r) g((a n_k + j) Q + b) R(r', b),
+// where L (P x R_k) is the product of cores 0..k-1 and R (R_{k+1} x Q) the
+// product of cores k+1..d-1 at the row's slices.
+std::vector<std::vector<double>> reference_core_grads(const TTCores& cores,
+                                                      const IndexBatch& batch,
+                                                      const Matrix& grad) {
+  const TTShape& shape = cores.shape();
+  const int d = shape.num_cores();
+  std::vector<std::vector<double>> out(static_cast<std::size_t>(d));
+  for (int k = 0; k < d; ++k) {
+    out[static_cast<std::size_t>(k)].assign(
+        static_cast<std::size_t>(cores.core(k).size()), 0.0);
+  }
+  std::vector<index_t> parts(static_cast<std::size_t>(d));
+  for (index_t s = 0; s < batch.batch_size(); ++s) {
+    const float* g = grad.row(s);
+    for (index_t pos = batch.bag_begin(s); pos < batch.bag_end(s); ++pos) {
+      shape.factorize_row(batch.indices[static_cast<std::size_t>(pos)], parts);
+      // left[k]: P_{k-1} x R_k (P_{-1} = 1); right[k]: R_{k+1} x Q_{k+1}.
+      std::vector<std::vector<double>> left(static_cast<std::size_t>(d) + 1);
+      std::vector<std::vector<double>> right(static_cast<std::size_t>(d));
+      std::vector<index_t> p_rows(static_cast<std::size_t>(d) + 1, 1);
+      std::vector<index_t> q_cols(static_cast<std::size_t>(d) + 1, 1);
+      left[0] = {1.0};
+      for (int k = 0; k < d; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        const index_t rk = shape.rank(k), nk = shape.col_factor(k);
+        const index_t rn = shape.rank(k + 1);
+        const float* c = cores.slice(k, parts[kk]);
+        p_rows[kk + 1] = p_rows[kk] * nk;
+        left[kk + 1].assign(static_cast<std::size_t>(p_rows[kk + 1] * rn), 0.0);
+        for (index_t a = 0; a < p_rows[kk]; ++a) {
+          for (index_t r = 0; r < rk; ++r) {
+            const double l = left[kk][static_cast<std::size_t>(a * rk + r)];
+            for (index_t col = 0; col < nk * rn; ++col) {
+              left[kk + 1][static_cast<std::size_t>(a * nk * rn + col)] +=
+                  l * c[r * nk * rn + col];
+            }
+          }
+        }
+      }
+      right[static_cast<std::size_t>(d) - 1] = {1.0};
+      for (int k = d - 1; k >= 1; --k) {
+        const auto kk = static_cast<std::size_t>(k);
+        const index_t rk = shape.rank(k), nk = shape.col_factor(k);
+        const index_t rn = shape.rank(k + 1);
+        const float* c = cores.slice(k, parts[kk]);
+        const index_t q = q_cols[kk + 1];
+        q_cols[kk] = nk * q;
+        right[kk - 1].assign(static_cast<std::size_t>(rk * nk * q), 0.0);
+        for (index_t r = 0; r < rk; ++r) {
+          for (index_t j = 0; j < nk; ++j) {
+            for (index_t r2 = 0; r2 < rn; ++r2) {
+              const double cv = c[r * nk * rn + j * rn + r2];
+              for (index_t b = 0; b < q; ++b) {
+                right[kk - 1][static_cast<std::size_t>(r * nk * q + j * q + b)] +=
+                    cv * right[kk][static_cast<std::size_t>(r2 * q + b)];
+              }
+            }
+          }
+        }
+      }
+      for (int k = 0; k < d; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        const index_t rk = shape.rank(k), nk = shape.col_factor(k);
+        const index_t rn = shape.rank(k + 1);
+        const index_t p = p_rows[kk], q = q_cols[kk + 1];
+        double* dst = out[kk].data() + parts[kk] * rk * nk * rn;
+        for (index_t r = 0; r < rk; ++r) {
+          for (index_t j = 0; j < nk; ++j) {
+            for (index_t r2 = 0; r2 < rn; ++r2) {
+              double acc = 0.0;
+              for (index_t a = 0; a < p; ++a) {
+                for (index_t b = 0; b < q; ++b) {
+                  acc += left[kk][static_cast<std::size_t>(a * rk + r)] *
+                         g[(a * nk + j) * q + b] *
+                         right[kk][static_cast<std::size_t>(r2 * q + b)];
+                }
+              }
+              dst[r * nk * rn + j * rn + r2] += acc;
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// One lr = 1 SGD step of an EffTTTable under every aggregation/fused-update
+// combination: each core's change must match the reference gradient, and
+// untouched slices must not move at all.
+void expect_core_grads_match_reference(const TTCores& init, index_t num_rows,
+                                       const IndexBatch& batch,
+                                       const Matrix& grad) {
+  const auto want = reference_core_grads(init, batch, grad);
+  for (int p = 0; p < 4; ++p) {
+    const EffTTConfig config{true, (p & 1) != 0, (p & 2) != 0};
+    EffTTTable table(num_rows, init, config);
+    Matrix out;
+    table.forward(batch, out);
+    table.backward_and_update(batch, grad, 1.0f);
+    for (int k = 0; k < init.shape().num_cores(); ++k) {
+      const auto& ref = want[static_cast<std::size_t>(k)];
+      double scale = 0.0;
+      for (double v : ref) scale = std::max(scale, std::fabs(v));
+      ASSERT_GT(scale, 0.0) << "core " << k;
+      const float* before = init.core(k).data();
+      const float* after = table.cores().core(k).data();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (ref[i] == 0.0) {
+          ASSERT_EQ(after[i], before[i])
+              << "untouched entry moved: core " << k << " entry " << i;
+          continue;
+        }
+        const double got = static_cast<double>(before[i]) - after[i];
+        ASSERT_NEAR(got, ref[i], 2e-5 * scale + 1e-7)
+            << "core " << k << " entry " << i << " config " << p;
+      }
+    }
+  }
+}
+
+Matrix random_grad(index_t rows, index_t cols, std::uint64_t seed) {
+  Prng rng(seed);
+  Matrix g(rows, cols);
+  g.fill_normal(rng, 0.0f, 0.5f);
+  return g;
+}
+
+TTCores random_cores_of(const TTShape& shape, std::uint64_t seed) {
+  Prng rng(seed);
+  TTCores cores(shape);
+  cores.init_normal(rng, 0.3f);
+  return cores;
+}
+
+// Multi-hot bags of 1..4 rows, with repeats across and within bags.
+IndexBatch multi_hot_batch(index_t num_rows, index_t bags, std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<std::vector<index_t>> b(static_cast<std::size_t>(bags));
+  for (auto& bag : b) {
+    const int len = 1 + static_cast<int>(rng.uniform_index(4));
+    for (int i = 0; i < len; ++i) {
+      bag.push_back(rng.uniform() < 0.3
+                        ? static_cast<index_t>(rng.uniform_index(16))
+                        : static_cast<index_t>(rng.uniform_index(
+                              static_cast<std::uint64_t>(num_rows))));
+    }
+  }
+  return IndexBatch::from_bags(b);
+}
+
+TEST(SliceOwnedBackward, CoreGradsMatchDoubleReferenceThreeCores) {
+  // The pipelined Eff-TT training shape: dim 16, rank 16.
+  const index_t rows = 5000;
+  const TTShape shape = TTShape::balanced(rows, 16, 3, 16);
+  const IndexBatch batch = multi_hot_batch(rows, 96, 21);
+  expect_core_grads_match_reference(random_cores_of(shape, 3), rows, batch,
+                                    random_grad(96, 16, 4));
+}
+
+TEST(SliceOwnedBackward, CoreGradsMatchDoubleReferenceFourCores) {
+  const index_t rows = 4096;
+  const TTShape shape = TTShape::balanced(rows, 16, 4, 8);
+  ASSERT_EQ(shape.num_cores(), 4);
+  const IndexBatch batch = multi_hot_batch(rows, 96, 22);
+  expect_core_grads_match_reference(random_cores_of(shape, 5), rows, batch,
+                                    random_grad(96, 16, 6));
+}
+
+TEST(SliceOwnedBackward, EveryRowInOneLastCoreSlice) {
+  // Every row selects i2 = 5: one group holds the whole batch, and every
+  // prefix is distinct.
+  const TTShape shape({6, 5, 8}, {2, 2, 4}, {1, 16, 16, 1});
+  const index_t m3 = shape.row_factor(2);
+  std::vector<std::vector<index_t>> bags;
+  for (index_t prefix = 0; prefix < 30; ++prefix) {
+    bags.push_back({prefix * m3 + 5});
+    if (prefix % 3 == 0) bags.back().push_back(prefix * m3 + 5);  // repeat
+  }
+  const IndexBatch batch = IndexBatch::from_bags(bags);
+  expect_core_grads_match_reference(
+      random_cores_of(shape, 7), shape.padded_rows(), batch,
+      random_grad(batch.batch_size(), shape.dim(), 8));
+}
+
+TEST(SliceOwnedBackward, EveryRowInOnePrefix) {
+  // All rows share (i0, i1) = (2, 3): one prefix run spans the batch, so
+  // cores 0 and 1 each get a single product over the run's summed dP12.
+  const TTShape shape({6, 5, 40}, {2, 2, 4}, {1, 16, 16, 1});
+  const index_t m3 = shape.row_factor(2);
+  const index_t prefix = 2 * shape.row_factor(1) + 3;
+  std::vector<std::vector<index_t>> bags;
+  for (index_t i2 = 0; i2 < m3; ++i2) {
+    bags.push_back({prefix * m3 + (i2 * 7) % m3, prefix * m3 + i2});
+  }
+  const IndexBatch batch = IndexBatch::from_bags(bags);
+  expect_core_grads_match_reference(
+      random_cores_of(shape, 9), shape.padded_rows(), batch,
+      random_grad(batch.batch_size(), shape.dim(), 10));
+}
+
+TEST(SliceOwnedBackward, AllRowsDistinct) {
+  const TTShape shape({6, 5, 8}, {2, 2, 4}, {1, 16, 16, 1});
+  std::vector<index_t> rows;
+  for (index_t r = 0; r < shape.padded_rows(); r += 3) rows.push_back(r);
+  const IndexBatch batch = IndexBatch::one_per_sample(rows);
+  expect_core_grads_match_reference(
+      random_cores_of(shape, 11), shape.padded_rows(), batch,
+      random_grad(batch.batch_size(), shape.dim(), 12));
 }
 
 }  // namespace

@@ -141,5 +141,40 @@ TEST(GemmLarge, KSplitTnMatchesChunkedSerialOrder) {
   }
 }
 
+TEST(GemmLarge, TnColumnMatchesFirstColumnOfTwoColumnProduct) {
+  // The n == 1 TN path (the top MLP's last-layer weight gradient) must sum
+  // each element exactly as the general tile kernels sum one column: equal,
+  // bitwise, to column 0 of the same product with a second B column. Shapes
+  // cover the 32 x 1 k = 4096 layer (k split across threads), a ragged m
+  // and a k inside one block.
+  struct Shape {
+    index_t m, k;
+  };
+  const Shape shapes[] = {{32, 4096}, {13, 700}, {64, 256}, {1, 33}};
+  const float alpha = -0.01f;
+  Prng rng(8);
+  for (const Shape& s : shapes) {
+    const index_t lda = s.m + 3;
+    Matrix a(s.k, lda), b2(s.k, 2), b1(s.k, 1), c0(s.m, 2);
+    a.fill_normal(rng);
+    b2.fill_normal(rng);
+    c0.fill_normal(rng);
+    for (index_t kk = 0; kk < s.k; ++kk) b1.at(kk, 0) = b2.at(kk, 0);
+    for (const float beta : {1.0f, 0.0f}) {
+      Matrix two = c0;
+      gemm(Trans::kYes, Trans::kNo, s.m, 2, s.k, alpha, a.data(), lda,
+           b2.data(), 2, beta, two.data(), 2);
+      Matrix one = c0;  // ldc = 2: column 0 only
+      gemm(Trans::kYes, Trans::kNo, s.m, 1, s.k, alpha, a.data(), lda,
+           b1.data(), 1, beta, one.data(), 2);
+      for (index_t i = 0; i < s.m; ++i) {
+        EXPECT_EQ(std::memcmp(&one.at(i, 0), &two.at(i, 0), sizeof(float)), 0)
+            << s.m << "x1 k=" << s.k << " beta=" << beta << " row " << i;
+        EXPECT_EQ(one.at(i, 1), c0.at(i, 1)) << "column 1 must be untouched";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace elrec

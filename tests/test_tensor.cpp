@@ -60,6 +60,19 @@ TEST(Matrix, ResizeZeroFills) {
   for (index_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.0f);
 }
 
+TEST(Matrix, ResizeToSameOrSmallerShapeReusesStorageAndZeroFills) {
+  Matrix m(64, 16);
+  const float* storage = m.data();
+  m.fill(5.0f);
+  m.resize(64, 16);
+  EXPECT_EQ(m.data(), storage);
+  for (index_t i = 0; i < m.size(); ++i) ASSERT_EQ(m.data()[i], 0.0f);
+  m.fill(5.0f);
+  m.resize(16, 8);
+  EXPECT_EQ(m.data(), storage);
+  for (index_t i = 0; i < m.size(); ++i) ASSERT_EQ(m.data()[i], 0.0f);
+}
+
 TEST(Matrix, FillNormalStats) {
   Prng rng(1);
   Matrix m(200, 200);
