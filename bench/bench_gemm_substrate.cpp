@@ -5,7 +5,9 @@
 // seconds, writing BENCH_gemm_substrate.json for the perf-regression harness.
 // It also records the per-call cost of a tiny gemm (ns/call) at 1 thread and
 // at all cores, at top level and from inside a parallel region, and the DLRM
-// backward shapes (weight and input gradient) at 1 thread and at all cores.
+// backward shapes (weight and input gradient) and the Eff-TT forward's
+// batched prefix/expand launches at dims 16 and 32, at 1 thread and at all
+// cores.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -192,6 +194,46 @@ int run_quick() {
     const Gflops gf = quick_gflops(2.0 * n1 * n2r2 * r1 * products,
                                    [&] { batched_gemm(shape, pa, pb, pc); });
     record("batched_gemm_ttprefix_1024", gf);
+  }
+  {
+    // The Eff-TT forward launches of a 3-core balanced table at rank 16, at
+    // 1 thread and at all cores: prefix (n1 x R) * (R x n2 R) and expand
+    // (n1 n2 x R) * (R x n3), with column factors 2x2x4 (dim 16) and 4x2x4
+    // (dim 32). 2048 products, each with its own operands.
+    struct Launch {
+      std::string name;
+      index_t m, n, k;
+    };
+    constexpr index_t kR = 16, kProducts = 2048;
+    const Launch launches[] = {{"prefix_d16_2x32x16", 2, 2 * kR, kR},
+                               {"expand_d16_4x4x16", 4, 4, kR},
+                               {"prefix_d32_4x32x16", 4, 2 * kR, kR},
+                               {"expand_d32_8x4x16", 8, 4, kR}};
+    const int all = benchutil::compute_threads();
+    for (const Launch& l : launches) {
+      Matrix a(kProducts * l.m, l.k), b(kProducts * l.k, l.n),
+          c(kProducts * l.m, l.n);
+      a.fill_normal(rng);
+      b.fill_normal(rng);
+      std::vector<const float*> pa, pb;
+      std::vector<float*> pc;
+      for (index_t i = 0; i < kProducts; ++i) {
+        pa.push_back(a.row(i * l.m));
+        pb.push_back(b.row(i * l.k));
+        pc.push_back(c.row(i * l.m));
+      }
+      const BatchedGemmShape shape{l.m,  l.n,  l.k,        l.k,       l.n,
+                                   l.n,  1.0f, 0.0f, Trans::kNo, Trans::kNo};
+      for (const int threads : {1, all}) {
+        benchutil::set_threads(threads);
+        const Gflops gf =
+            quick_gflops(2.0 * l.m * l.n * l.k * kProducts,
+                         [&] { batched_gemm(shape, pa, pb, pc); });
+        record("batched_gemm_" + l.name + (threads == 1 ? "_t1" : "_tall"),
+               gf, threads);
+      }
+    }
+    benchutil::set_threads(all);
   }
   {
     // gemv, both orientations.

@@ -153,32 +153,31 @@ void EffTTTable::compute_prefix_products(std::span<const index_t> rows) {
 }
 
 // Extends a row's prefix product (n1 n2 x R2) through cores 2..d-1 into the
-// final embedding row at `dst`; scratch vectors are caller-provided to avoid
-// per-row allocation.
+// final embedding row at `dst`; the scratch is caller-provided so rows
+// allocate nothing once it has grown.
 void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
-                              std::vector<float>& sa,
-                              std::vector<float>& sb) const {
+                              ChainScratch& scratch) const {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
-  std::vector<index_t> parts(static_cast<std::size_t>(d));
-  shape.factorize_row(row, parts);
+  std::vector<float>& sa = scratch.sa;
+  std::vector<float>& sb = scratch.sb;
+  scratch.parts.resize(static_cast<std::size_t>(d));
+  shape.factorize_row(row, scratch.parts);
 
   index_t p = shape.col_factor(0) * shape.col_factor(1);
   sa.assign(p12, p12 + p * shape.rank(2));
   for (int k = 2; k < d; ++k) {
     const index_t rk = shape.rank(k);
     const index_t cols = cores_.slice_cols(k);  // n_k * R_{k+1}
-    float* out = nullptr;
+    const float* slice =
+        cores_.slice(k, scratch.parts[static_cast<std::size_t>(k)]);
     if (k == d - 1) {
-      out = dst;
-      gemm(Trans::kNo, Trans::kNo, p, cols, rk, 1.0f, sa.data(), rk,
-           cores_.slice(k, parts[static_cast<std::size_t>(k)]), cols, 0.0f,
-           out, cols);
+      gemm(Trans::kNo, Trans::kNo, p, cols, rk, 1.0f, sa.data(), rk, slice,
+           cols, 0.0f, dst, cols);
     } else {
-      sb.assign(static_cast<std::size_t>(p) * cols, 0.0f);
-      gemm(Trans::kNo, Trans::kNo, p, cols, rk, 1.0f, sa.data(), rk,
-           cores_.slice(k, parts[static_cast<std::size_t>(k)]), cols, 0.0f,
-           sb.data(), cols);
+      sb.resize(static_cast<std::size_t>(p) * cols);
+      gemm(Trans::kNo, Trans::kNo, p, cols, rk, 1.0f, sa.data(), rk, slice,
+           cols, 0.0f, sb.data(), cols);
       sa.swap(sb);
     }
     p *= shape.col_factor(k);
@@ -187,8 +186,8 @@ void EffTTTable::chain_suffix(index_t row, const float* p12, float* dst,
 
 std::size_t EffTTTable::expand_rows_from_prefixes(
     std::span<const index_t> rows, const ReuseBuffer& reuse,
-    const PointerPrepResult& prep, Matrix& dst, std::vector<float>& sa,
-    std::vector<float>& sb) const {
+    const PointerPrepResult& prep, Matrix& dst,
+    ChainScratch& scratch) const {
   const TTShape& shape = cores_.shape();
   const int d = shape.num_cores();
   dst.resize(static_cast<index_t>(rows.size()), shape.dim());
@@ -222,16 +221,15 @@ std::size_t EffTTTable::expand_rows_from_prefixes(
   // Generic d: chain the remaining cores per row.
   for (std::size_t i = 0; i < rows.size(); ++i) {
     chain_suffix(rows[i], reuse.slot_data(prep.slot_of[i]),
-                 dst.row(static_cast<index_t>(i)), sa, sb);
+                 dst.row(static_cast<index_t>(i)), scratch);
   }
   return rows.size() * static_cast<std::size_t>(d - 2);
 }
 
 void EffTTTable::compute_rows_from_prefixes(std::span<const index_t> rows,
                                             Matrix& dst) {
-  std::vector<float> sa, sb;
-  stats_.forward_gemms +=
-      expand_rows_from_prefixes(rows, reuse_buffer_, prep_, dst, sa, sb);
+  stats_.forward_gemms += expand_rows_from_prefixes(rows, reuse_buffer_, prep_,
+                                                    dst, chain_scratch_);
 }
 
 void EffTTTable::forward(const IndexBatch& batch, Matrix& out) {
@@ -288,8 +286,8 @@ void EffTTTable::materialize_rows(const std::vector<index_t>& rows,
   check_rows_in_range(rows, num_rows_);
   remap_rows(rows, ws->rows);
   fill_prefix_products(ws->rows, ws->reuse, ws->prep);
-  expand_rows_from_prefixes(ws->rows, ws->reuse, ws->prep, values, ws->sa,
-                            ws->sb);
+  expand_rows_from_prefixes(ws->rows, ws->reuse, ws->prep, values,
+                            ws->chain);
 }
 
 void EffTTTable::forward_no_reuse(const IndexBatch& batch,
@@ -307,15 +305,14 @@ void EffTTTable::forward_no_reuse(const IndexBatch& batch,
 
   Matrix occ_rows(static_cast<index_t>(rows.size()), n);
   std::vector<float> p12(static_cast<std::size_t>(n12) * shape.rank(2));
-  std::vector<float> sa, sb;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const index_t row = rows[i];
     const index_t prefix = row / suffix;
     gemm(Trans::kNo, Trans::kNo, n1, n2r2, r1, 1.0f,
          cores_.slice(0, prefix / m2), r1, cores_.slice(1, prefix % m2), n2r2,
          0.0f, p12.data(), n2r2);
-    chain_suffix(row, p12.data(), occ_rows.row(static_cast<index_t>(i)), sa,
-                 sb);
+    chain_suffix(row, p12.data(), occ_rows.row(static_cast<index_t>(i)),
+                 chain_scratch_);
     stats_.forward_gemms +=
         static_cast<std::size_t>(shape.num_cores() - 1);
   }

@@ -53,6 +53,14 @@ struct EffTTConfig {
   bool fused_update = true;            // §III-B fused TT-core update
 };
 
+/// Caller-owned scratch of the generic-d suffix chain (d > 3): two ping-pong
+/// partial products and the row's per-core slice indices, grown once and
+/// reused for every row.
+struct ChainScratch {
+  std::vector<float> sa, sb;
+  std::vector<index_t> parts;
+};
+
 /// Per-reader scratch for EffTTTable::materialize_rows(): a private reuse
 /// buffer, pointer-prep lists and row staging, so concurrent const readers
 /// never touch shared mutable state. Obtain via
@@ -67,7 +75,7 @@ class EffTTLookupContext final : public ILookupContext {
   ReuseBuffer reuse;
   PointerPrepResult prep;
   std::vector<index_t> rows;       // remapped physical rows
-  std::vector<float> sa, sb;       // chain_suffix scratch (d > 3)
+  ChainScratch chain;              // chain_suffix scratch (d > 3)
 };
 
 class EffTTTable final : public IEmbeddingTable {
@@ -157,8 +165,8 @@ class EffTTTable final : public IEmbeddingTable {
   std::size_t expand_rows_from_prefixes(std::span<const index_t> rows,
                                         const ReuseBuffer& reuse,
                                         const PointerPrepResult& prep,
-                                        Matrix& dst, std::vector<float>& sa,
-                                        std::vector<float>& sb) const;
+                                        Matrix& dst,
+                                        ChainScratch& scratch) const;
 
   // Training wrappers over the two stages: use the member reuse buffer /
   // prep lists and update stats_.
@@ -169,9 +177,9 @@ class EffTTTable final : public IEmbeddingTable {
   index_t suffix_length() const;
 
   // Chains cores 2..d-1 onto a prefix product (n1 n2 x R2) into the final
-  // embedding row at dst; scratch vectors are caller-provided.
+  // embedding row at dst; the scratch is caller-provided.
   void chain_suffix(index_t row, const float* p12, float* dst,
-                    std::vector<float>& sa, std::vector<float>& sb) const;
+                    ChainScratch& scratch) const;
 
   // Full-recompute forward used when intermediate_reuse is off.
   void forward_no_reuse(const IndexBatch& batch,
@@ -259,6 +267,7 @@ class EffTTTable final : public IEmbeddingTable {
   std::vector<Matrix> unfused_staging_;
   std::vector<OptimizerState> core_optimizers_;
 
+  ChainScratch chain_scratch_;  // forward's chain_suffix scratch (d > 3)
   Matrix unique_rows_buf_;   // unique embedding rows (forward)
   Matrix grad_agg_buf_;      // aggregated per-unique-row gradients (backward)
 

@@ -122,33 +122,33 @@ MiniBatch SyntheticDataset::make_batch(index_t batch_size, Prng& rng,
   batch.dense.fill_normal(rng, 0.0f, 1.0f);
   batch.labels.resize(static_cast<std::size_t>(batch_size));
   batch.sparse.resize(static_cast<std::size_t>(spec_.num_tables()));
-
-  std::vector<std::vector<std::vector<index_t>>> bags(
-      static_cast<std::size_t>(spec_.num_tables()));
-  for (auto& v : bags) v.resize(static_cast<std::size_t>(batch_size));
+  // Each bag is appended straight into its table's IndexBatch.
+  for (IndexBatch& ib : batch.sparse) {
+    ib.indices.reserve(static_cast<std::size_t>(batch_size));
+    ib.offsets.reserve(static_cast<std::size_t>(batch_size) + 1);
+    ib.offsets.push_back(0);
+  }
 
   std::vector<index_t> sample_idx(static_cast<std::size_t>(spec_.num_tables()));
   for (index_t s = 0; s < batch_size; ++s) {
     for (index_t t = 0; t < spec_.num_tables(); ++t) {
-      auto& bag = bags[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
+      IndexBatch& ib = batch.sparse[static_cast<std::size_t>(t)];
       const index_t bag_size =
           spec_.multi_hot_max <= 1
               ? 1
               : 1 + static_cast<index_t>(rng.uniform_index(
                         static_cast<std::uint64_t>(spec_.multi_hot_max)));
-      for (index_t i = 0; i < bag_size; ++i) {
-        bag.push_back(draw_index(t, rng, session));
-      }
       // The teacher scores the first index of the bag (its "primary" item).
-      sample_idx[static_cast<std::size_t>(t)] = bag.front();
+      sample_idx[static_cast<std::size_t>(t)] = draw_index(t, rng, session);
+      ib.indices.push_back(sample_idx[static_cast<std::size_t>(t)]);
+      for (index_t i = 1; i < bag_size; ++i) {
+        ib.indices.push_back(draw_index(t, rng, session));
+      }
+      ib.offsets.push_back(ib.num_indices());
     }
     const float z = label_logit(batch.dense.row(s), sample_idx);
     const float p = 1.0f / (1.0f + std::exp(-z));
     batch.labels[static_cast<std::size_t>(s)] = rng.bernoulli(p) ? 1.0f : 0.0f;
-  }
-  for (index_t t = 0; t < spec_.num_tables(); ++t) {
-    batch.sparse[static_cast<std::size_t>(t)] =
-        IndexBatch::from_bags(bags[static_cast<std::size_t>(t)]);
   }
   return batch;
 }
