@@ -11,13 +11,20 @@
 // reordering adds ~1.05x on top.
 // `--quick` runs a single batch size (2048) over the three main series, each
 // at 1 thread and at all cores, and writes BENCH_fig17_lookup.json (median-
-// of-5 ns/lookup with its MAD) for the perf-regression harness.
+// of-5 ns/lookup with its MAD) for the perf-regression harness. It also
+// times the lookup's first step, build_unique_index_map, against one
+// std::sort of (value, position) pairs at 32-1024 indices drawn from tables
+// of 1.8k, 26k and 203k rows (the serving tables' range).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "core/eff_tt_table.hpp"
 #include "data/synthetic.hpp"
 #include "embed/embedding_bag.hpp"
+#include "embed/index_batch.hpp"
 #include "reorder/bijection.hpp"
 #include "tt/tt_table.hpp"
 
@@ -137,6 +144,90 @@ benchutil::MedianMad quick_ns_per_lookup(Table& table,
   return {secs.median * per_lookup_ns, secs.mad * per_lookup_ns};
 }
 
+// The comparison-sort map build_unique_index_map replaces above its radix
+// cutoff: one std::sort of (value, position) pairs, then one ranking walk.
+UniqueIndexMap pair_sort_unique_map(const std::vector<index_t>& indices) {
+  std::vector<std::pair<index_t, index_t>> keyed(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    keyed[i] = {indices[i], static_cast<index_t>(i)};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  UniqueIndexMap map;
+  map.occurrence.resize(indices.size());
+  for (const auto& [value, pos] : keyed) {
+    if (map.unique.empty() || map.unique.back() != value) {
+      map.unique.push_back(value);
+    }
+    map.occurrence[static_cast<std::size_t>(pos)] =
+        static_cast<index_t>(map.unique.size() - 1);
+  }
+  return map;
+}
+
+// Median-of-5 ns per call of `dedup` over 64 uniform index lists of length
+// n from [0, rows), each holding rows - 1 so every list has the table's
+// full bit width; one rep makes enough calls to run for about a
+// millisecond.
+template <typename Dedup>
+benchutil::MedianMad quick_ns_per_dedup(Dedup&& dedup, std::size_t n,
+                                        index_t rows) {
+  Prng rng(static_cast<std::uint64_t>(rows) * 7919 + n);
+  std::vector<std::vector<index_t>> lists(64, std::vector<index_t>(n));
+  for (auto& list : lists) {
+    for (index_t& v : list) {
+      v = static_cast<index_t>(
+          rng.uniform_index(static_cast<std::uint64_t>(rows)));
+    }
+    list[0] = rows - 1;
+  }
+  const std::size_t calls = std::max<std::size_t>(256, (1u << 18) / n);
+  std::size_t sink = 0;
+  const benchutil::MedianMad secs = benchutil::time_median_seconds(
+      [&] {
+        for (std::size_t c = 0; c < calls; ++c) {
+          sink += dedup(lists[c % lists.size()]).unique.size();
+        }
+      },
+      5);
+  benchmark::DoNotOptimize(sink);
+  const double per_call_ns = 1e9 / static_cast<double>(calls);
+  return {secs.median * per_call_ns, secs.mad * per_call_ns};
+}
+
+// build_unique_index_map against the pair sort on one thread: below the
+// radix cutoff both run std::sort (ratio ~1), above it the ratio is the
+// radix map's gain.
+void quick_dedup(benchutil::JsonBenchReport& report) {
+  std::vector<std::vector<std::string>> table{
+      {"rows", "indices", "map ns (median of 5)", "MAD", "std::sort ns",
+       "MAD", "map/sort"}};
+  for (const index_t rows : {index_t{1800}, index_t{26000}, index_t{203000}}) {
+    for (const std::size_t n : {32, 64, 80, 95, 96, 128, 256, 1024}) {
+      const benchutil::MedianMad map = quick_ns_per_dedup(
+          [](const std::vector<index_t>& v) {
+            return build_unique_index_map(v);
+          },
+          n, rows);
+      const benchutil::MedianMad sort =
+          quick_ns_per_dedup(pair_sort_unique_map, n, rows);
+      const std::string name =
+          "Dedup_r" + std::to_string(rows) + "_n" + std::to_string(n);
+      report.add(name, {{"map_ns", map.median},
+                        {"map_mad_ns", map.mad},
+                        {"sort_ns", sort.median},
+                        {"sort_mad_ns", sort.mad},
+                        {"map_over_sort", map.median / sort.median}});
+      table.push_back({std::to_string(rows), std::to_string(n),
+                       benchutil::fmt(map.median, 0),
+                       benchutil::fmt(map.mad, 0),
+                       benchutil::fmt(sort.median, 0),
+                       benchutil::fmt(sort.mad, 0),
+                       benchutil::fmt(map.median / sort.median)});
+    }
+  }
+  benchutil::print_table(table);
+}
+
 }  // namespace
 
 int run_quick() {
@@ -186,6 +277,8 @@ int run_quick() {
   benchutil::set_threads(all);
 
   benchutil::print_table(table);
+  benchutil::header("Unique-index map vs std::sort (--quick, 1 thread)");
+  quick_dedup(report);
   return report.write() ? 0 : 1;
 }
 
